@@ -94,3 +94,44 @@ func BenchmarkActiveFraction(b *testing.B) {
 		b.Fatalf("active fraction %v out of range", sink)
 	}
 }
+
+// BenchmarkL1MRUHit times an L1 hit on the set's MRU way — the
+// commonest reference outcome in a simulation — through AccessInto
+// and through the AccessMRU fast path the simulator tries first.
+func BenchmarkL1MRUHit(b *testing.B) {
+	// Eight words in each of 64 lines, visited line by line: every
+	// access after a line's first is an MRU hit.
+	addrs := make([]Addr, 0, 512)
+	for line := 0; line < 64; line++ {
+		for w := 0; w < 8; w++ {
+			addrs = append(addrs, Addr(line*64+w*8))
+		}
+	}
+	newL1 := func() *Cache {
+		c := MustNew(Params{Name: "L1D", SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64, Latency: 2, Modules: 1, Banks: 1})
+		for _, a := range addrs {
+			c.Access(a, false)
+		}
+		return c
+	}
+	b.Run("AccessInto", func(b *testing.B) {
+		c := newL1()
+		var res AccessResult
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.AccessInto(addrs[i&511], i&7 == 0, &res)
+		}
+	})
+	b.Run("AccessMRU", func(b *testing.B) {
+		c := newL1()
+		var res AccessResult
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if a := addrs[i&511]; !c.AccessMRU(a, i&7 == 0) {
+				c.AccessInto(a, i&7 == 0, &res)
+			}
+		}
+	})
+}

@@ -602,6 +602,32 @@ func promote(order []uint8, pos int) {
 	order[0] = w
 }
 
+// AccessMRU performs the access when it hits the set's MRU way and
+// reports whether it did. A hit updates exactly the counters and dirty
+// bit AccessInto would (the recency stack is unchanged: the way is
+// already MRU). It declines — returning false with no state touched,
+// so the caller falls back to AccessInto — on any other outcome, and
+// always for leader sets, an attached observer or wear tracking,
+// whose bookkeeping only AccessInto does.
+func (c *Cache) AccessMRU(addr Addr, write bool) bool {
+	if c.observer != nil || c.wear != nil {
+		return false
+	}
+	setIdx := c.SetIndex(addr)
+	w := uint(c.order[setIdx*c.assoc])
+	if c.vd[2*setIdx]>>w&1 == 0 || c.tags[setIdx*c.assoc+int(w)] != c.tagOf(addr) || c.setLeader[setIdx] {
+		return false
+	}
+	c.total.Hits++
+	c.interval.Hits++
+	if write {
+		c.vd[2*setIdx+1] |= 1 << w
+		c.total.WriteHits++
+		c.interval.WriteHits++
+	}
+	return true
+}
+
 // Probe reports whether addr is present in an active way, without
 // disturbing replacement state or statistics.
 func (c *Cache) Probe(addr Addr) bool {

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/ckpt"
 	"repro/internal/xrand"
 )
 
@@ -607,5 +609,64 @@ func TestCounterConservationProperty(t *testing.T) {
 	}, &quick.Config{MaxCount: 50})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAccessMRUMatchesAccess runs one stream through a cache that
+// tries AccessMRU first and one that always uses Access: the fast
+// path must fire exactly on non-leader MRU hits and leave the two
+// caches' serialised state identical.
+func TestAccessMRUMatchesAccess(t *testing.T) {
+	p := Params{Name: "t", SizeBytes: 64 * 4 * 64, Assoc: 4, LineBytes: 64, Modules: 4, SamplingRatio: 8, Banks: 2}
+	fast, ref := MustNew(p), MustNew(p)
+	rng := xrand.New(17)
+	fired := 0
+	for i := 0; i < 50_000; i++ {
+		if i%997 == 0 {
+			m, n := rng.Intn(4), 1+rng.Intn(4)
+			fast.SetActiveWays(m, n)
+			ref.SetActiveWays(m, n)
+		}
+		// A small footprint with repeats, so MRU hits are common.
+		a := Addr(rng.Uint64n(512) * 16)
+		write := rng.Intn(4) == 0
+		hit := fast.AccessMRU(a, write)
+		want := ref.Access(a, write)
+		if hit != (want.Hit && want.LRUPos == 0 && !want.Leader) {
+			t.Fatalf("access %d: AccessMRU=%v for %+v", i, hit, want)
+		}
+		if hit {
+			fired++
+		} else {
+			fast.Access(a, write)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("fast path never fired")
+	}
+	wf, wr := ckpt.NewWriter(), ckpt.NewWriter()
+	fast.AppendState(wf)
+	ref.AppendState(wr)
+	if !bytes.Equal(wf.Bytes(), wr.Bytes()) {
+		t.Fatal("state diverged between the fast-path and reference caches")
+	}
+}
+
+// TestAccessMRUDeclines checks the fast path stays out of the way of
+// bookkeeping only AccessInto does: observers and wear tracking.
+func TestAccessMRUDeclines(t *testing.T) {
+	c := small(t)
+	c.SetObserver(&recordingObserver{})
+	c.Access(addrFor(0, 1, 4), false)
+	if c.AccessMRU(addrFor(0, 1, 4), false) {
+		t.Fatal("AccessMRU ran with an observer attached")
+	}
+	w := MustNew(Params{Name: "w", SizeBytes: 4 * 4 * 64, Assoc: 4, LineBytes: 64, Modules: 1, Banks: 1, TrackWear: true})
+	w.Access(addrFor(0, 1, 4), true)
+	if w.AccessMRU(addrFor(0, 1, 4), true) {
+		t.Fatal("AccessMRU ran with wear tracking")
+	}
+	if got := w.TotalCounters(); got.Hits != 0 {
+		t.Fatalf("declined access changed counters: %+v", got)
 	}
 }

@@ -113,6 +113,10 @@ func DecideModule(hits []uint64, cfg Config) int {
 }
 
 // Decision is the controller's output for one interval.
+//
+// ActiveWays and NonLRU are the controller's own buffers, reused by
+// every EndInterval: they are valid until the next call, and a caller
+// that keeps them longer must copy them.
 type Decision struct {
 	// ActiveWays[m] is the chosen way count for module m.
 	ActiveWays []int
@@ -151,6 +155,12 @@ type Controller struct {
 	cfg   Config
 	cache ReconfigurableCache
 	assoc int
+	// followerSets[m] counts module m's non-leader sets. Leader sets
+	// never change, so NewController counts them once.
+	followerSets []int
+	// ways and nonLRU back every Decision's slices.
+	ways   []int
+	nonLRU []bool
 
 	// cumulative statistics
 	intervals         int
@@ -173,7 +183,13 @@ func NewController(c ReconfigurableCache, cfg Config) (*Controller, error) {
 	if c.NumLeaderSets() == 0 {
 		return nil, fmt.Errorf("core: cache %q has no leader sets; ESTEEM needs SamplingRatio > 0", c.Params().Name)
 	}
-	return &Controller{cfg: cfg, cache: c, assoc: assoc}, nil
+	m := c.NumModules()
+	return &Controller{
+		cfg: cfg, cache: c, assoc: assoc,
+		followerSets: followerSetsPerModule(c),
+		ways:         make([]int, m),
+		nonLRU:       make([]bool, m),
+	}, nil
 }
 
 // Config returns the controller's algorithm parameters.
@@ -182,15 +198,11 @@ func (ct *Controller) Config() Config { return ct.cfg }
 // EndInterval consumes the interval's profiling data, runs Algorithm 1
 // for every module, applies the per-module decisions to the cache, and
 // resets the interval histograms. It returns the decision so the
-// simulator can charge reconfiguration energy and writeback traffic.
+// simulator can charge reconfiguration energy and writeback traffic;
+// the decision's slices are overwritten by the next call.
 func (ct *Controller) EndInterval() Decision {
-	m := ct.cache.NumModules()
-	d := Decision{
-		ActiveWays: make([]int, m),
-		NonLRU:     make([]bool, m),
-	}
-	followerSets := ct.followerSetsPerModule()
-	for mod := 0; mod < m; mod++ {
+	d := Decision{ActiveWays: ct.ways, NonLRU: ct.nonLRU}
+	for mod := range d.ActiveWays {
 		hits := ct.cache.HitPositions(mod)
 		n := DecideModule(hits, ct.cfg)
 		if ct.cfg.MaxWayDelta > 0 {
@@ -216,7 +228,7 @@ func (ct *Controller) EndInterval() Decision {
 			if delta < 0 {
 				delta = -delta
 			}
-			d.LinesTransitioned += delta * followerSets[mod]
+			d.LinesTransitioned += delta * ct.followerSets[mod]
 		}
 		inv, wb := ct.cache.SetActiveWays(mod, n)
 		d.Invalidated += inv
@@ -231,14 +243,14 @@ func (ct *Controller) EndInterval() Decision {
 }
 
 // followerSetsPerModule counts the non-leader sets in each module.
-func (ct *Controller) followerSetsPerModule() []int {
-	m := ct.cache.NumModules()
-	spm := ct.cache.SetsPerModule()
+func followerSetsPerModule(c ReconfigurableCache) []int {
+	m := c.NumModules()
+	spm := c.SetsPerModule()
 	out := make([]int, m)
 	for mod := 0; mod < m; mod++ {
 		leaders := 0
 		for s := mod * spm; s < (mod+1)*spm; s++ {
-			if ct.cache.IsLeader(s) {
+			if c.IsLeader(s) {
 				leaders++
 			}
 		}

@@ -50,7 +50,14 @@ func (k StallKind) String() string {
 // Core is one simulated core executing a workload source.
 type Core struct {
 	id  int
-	gen trace.Source
+	src trace.Source
+	// gen is src when it is the built-in generator: NextRef calls it
+	// directly instead of through the interface (one dispatch per
+	// reference is measurable at simulation rates).
+	gen *trace.Generator
+	// addrOffset relocates every reference into the core's own
+	// address space.
+	addrOffset uint64
 
 	clock        uint64
 	instructions uint64
@@ -69,8 +76,13 @@ type Core struct {
 
 // New builds a core over a reference source (a synthetic generator,
 // a trace replayer, or any user-supplied Source).
-func New(id int, gen trace.Source) *Core {
-	return &Core{id: id, gen: gen}
+func New(id int, src trace.Source) *Core { return NewRelocated(id, src, 0) }
+
+// NewRelocated is New with every reference's address shifted by
+// addrOffset, placing the workload in the core's own address space.
+func NewRelocated(id int, src trace.Source, addrOffset uint64) *Core {
+	gen, _ := src.(*trace.Generator)
+	return &Core{id: id, src: src, gen: gen, addrOffset: addrOffset}
 }
 
 // ID returns the core's index.
@@ -82,12 +94,18 @@ func (c *Core) Clock() uint64 { return c.clock }
 // Instructions returns the instructions retired so far.
 func (c *Core) Instructions() uint64 { return c.instructions }
 
-// NextRef pulls the next memory reference from the benchmark and
-// retires the instructions leading up to and including it (Gap
-// non-memory instructions plus the memory operation itself, at one
-// cycle each).
+// NextRef pulls the next memory reference from the benchmark,
+// relocated by the core's address offset, and retires the
+// instructions leading up to and including it (Gap non-memory
+// instructions plus the memory operation itself, at one cycle each).
 func (c *Core) NextRef() trace.Ref {
-	r := c.gen.Next()
+	var r trace.Ref
+	if c.gen != nil {
+		r = c.gen.Next()
+	} else {
+		r = c.src.Next()
+	}
+	r.Addr += c.addrOffset
 	c.retire(uint64(r.Gap) + 1)
 	return r
 }

@@ -147,3 +147,28 @@ func TestID(t *testing.T) {
 		t.Fatal("ID wrong")
 	}
 }
+
+// wrapped hides a Generator behind the Source interface, forcing the
+// core onto its interface path.
+type wrapped struct{ trace.Source }
+
+// TestNextRefDirectMatchesInterface checks the devirtualised
+// generator pull and the interface path produce the same relocated
+// references and the same retired instructions.
+func TestNextRefDirectMatchesInterface(t *testing.T) {
+	p, _ := trace.ProfileByName("omnetpp")
+	const off = uint64(1) << 44
+	direct := NewRelocated(1, trace.MustNewGenerator(p, 5), off)
+	iface := NewRelocated(1, wrapped{trace.MustNewGenerator(p, 5)}, off)
+	plain := trace.MustNewGenerator(p, 5)
+	for i := 0; i < 10_000; i++ {
+		a, b, want := direct.NextRef(), iface.NextRef(), plain.Next()
+		want.Addr += off
+		if a != want || b != want {
+			t.Fatalf("ref %d: direct %+v, interface %+v, want %+v", i, a, b, want)
+		}
+	}
+	if direct.Instructions() != iface.Instructions() || direct.Clock() != iface.Clock() {
+		t.Fatal("direct and interface paths retired different instruction counts")
+	}
+}

@@ -208,3 +208,68 @@ func TestCheckpointOutsideMeasurementFails(t *testing.T) {
 		t.Fatal("Checkpoint succeeded before measurement began")
 	}
 }
+
+// TestCheckpointRefusesCorruptGenerator patches out-of-range values
+// into the workload generator's section of a real checkpoint: the
+// restore must refuse each one rather than resume a stream whose
+// addresses would leave its pattern's region.
+func TestCheckpointRefusesCorruptGenerator(t *testing.T) {
+	cfg := testConfig(1, Esteem)
+	cfg.WarmupInstr = 50_000
+	cfg.MeasureInstr = 100_000
+	cfg.IntervalCycles = 50_000
+	bm := []string{"gcc"}
+	_, ckpts, _ := captureCheckpoints(t, cfg, bm)
+	good := ckpts[0]
+
+	// TGEN layout: tag, rng, zipfKey, zipf-cache count n, n (key,
+	// state) pairs, streamPos, scanPos (count + words), scanNext,
+	// burstLeft, burstLine, burstOff, refs, phaseIdx.
+	tgen := bytes.Index(good, []byte("TGEN"))
+	if tgen < 0 {
+		t.Fatal("no generator section in the checkpoint")
+	}
+	u64 := func(off int) uint64 {
+		var v uint64
+		for i := 7; i >= 0; i-- {
+			v = v<<8 | uint64(good[off+i])
+		}
+		return v
+	}
+	streamPos := tgen + 4 + 24 + 16*int(u64(tgen+4+16))
+	scanNext := streamPos + 16 + 8*int(u64(streamPos+8))
+	burstLeft, burstOff, phaseIdx := scanNext+8, scanNext+24, scanNext+40
+	if u64(streamPos)%8 != 0 || u64(burstOff) >= 64 || u64(phaseIdx) != 0 || len(good) < phaseIdx+8 {
+		t.Fatalf("generator section layout not as this test expects: stream %d burstOff %d phase %d", u64(streamPos), u64(burstOff), u64(phaseIdx))
+	}
+
+	restore := func(data []byte) error {
+		s, err := New(cfg, bm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.RestoreCheckpoint(data)
+	}
+	if err := restore(good); err != nil {
+		t.Fatalf("unmodified checkpoint refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    uint64
+	}{
+		{"unaligned stream position", streamPos, 4},
+		{"stream position past the region", streamPos, 1 << 40},
+		{"burst offset past the line", burstOff, 64},
+		{"negative burst length", burstLeft, ^uint64(0)},
+		{"phase of a single-phase profile", phaseIdx, 1},
+	} {
+		bad := append([]byte(nil), good...)
+		for i := 0; i < 8; i++ {
+			bad[tc.off+i] = byte(tc.v >> (8 * i))
+		}
+		if restore(bad) == nil {
+			t.Errorf("%s: corrupt checkpoint restored", tc.name)
+		}
+	}
+}

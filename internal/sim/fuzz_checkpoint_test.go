@@ -19,6 +19,10 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint64(9), uint16(2), uint16(2), uint16(6), true)    // rpd, libquantum
 	f.Add(uint8(7), uint8(4), uint64(3), uint16(1), uint16(5), uint16(11), false)  // smart-refresh, h264ref
 	f.Add(uint8(8), uint8(0), uint64(1000), uint16(4), uint16(3), uint16(8), true) // ecc, gcc
+	// Restores that must pass the generator's range checks: omnetpp
+	// mid-scan and libquantum mid-stream at the longest horizons.
+	f.Add(uint8(4), uint8(2), uint64(5), uint16(3), uint16(5), uint16(7), false) // esteem, omnetpp
+	f.Add(uint8(1), uint8(3), uint64(11), uint16(3), uint16(5), uint16(7), true) // rpv, libquantum
 
 	benches := []string{"gcc", "mcf", "omnetpp", "libquantum", "h264ref"}
 

@@ -20,6 +20,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -517,18 +518,15 @@ func NewFromSources(cfg Config, sources []trace.Source) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, clk: &edram.Clock{}, srcs: sources}
 
 	// Cores over their workload sources. Each core's program runs in
-	// its own address space: a per-core offset keeps multiprogrammed
-	// workloads from aliasing in the shared L2 (they are separate
-	// processes in the paper's methodology).
+	// its own address space: a per-core offset (16 TiB apart) keeps
+	// multiprogrammed workloads from aliasing in the shared L2 (they
+	// are separate processes in the paper's methodology).
 	for i, src := range sources {
 		if src == nil {
 			return nil, fmt.Errorf("sim: nil source for core %d", i)
 		}
 		s.benchNames = append(s.benchNames, src.Name())
-		if i > 0 {
-			src = &offsetSource{Source: src, offset: uint64(i) << 44}
-		}
-		s.cores = append(s.cores, cpu.New(i, src))
+		s.cores = append(s.cores, cpu.NewRelocated(i, src, uint64(i)<<44))
 		mlp := src.MLPFactor()
 		if mlp < 1 {
 			mlp = 1
@@ -538,8 +536,11 @@ func NewFromSources(cfg Config, sources []trace.Source) (*Simulator, error) {
 			eff = 1
 		}
 		s.effMemLat = append(s.effMemLat, eff)
+		// strconv rather than fmt: fmt's printer pool is per P, so
+		// whether Sprintf allocated depended on GOMAXPROCS and
+		// scheduling, which made allocs/op differ between hosts.
 		l1, err := cache.New(cache.Params{
-			Name: fmt.Sprintf("L1D%d", i), SizeBytes: cfg.L1SizeBytes,
+			Name: "L1D" + strconv.Itoa(i), SizeBytes: cfg.L1SizeBytes,
 			Assoc: cfg.L1Assoc, LineBytes: cfg.LineBytes,
 			Latency: 2, Modules: 1, Banks: 1,
 		})
@@ -732,20 +733,6 @@ func (s *Simulator) SetObserver(o obs.Observer) { s.obsv = o }
 // TestTracingDisabledNoAllocs and the SimRunShort benchmark).
 func (s *Simulator) SetTraceSpan(sp *tracez.Span) { s.tspan = sp }
 
-// offsetSource relocates a workload's address space by a fixed
-// offset (one distinct 16 TiB region per core).
-type offsetSource struct {
-	trace.Source
-	offset uint64
-}
-
-// Next shifts every reference by the core's offset.
-func (o *offsetSource) Next() trace.Ref {
-	r := o.Source.Next()
-	r.Addr += o.offset
-	return r
-}
-
 // frontier returns the minimum core clock — the simulation's wall
 // time. O(1): the heap root is the earliest core.
 func (s *Simulator) frontier() uint64 {
@@ -796,8 +783,12 @@ func (s *Simulator) step() {
 func (s *Simulator) stepCore(c *cpu.Core) {
 	ref := c.NextRef()
 
+	l1 := s.l1[c.ID()]
+	if l1.AccessMRU(cache.Addr(ref.Addr), ref.Write) {
+		return
+	}
 	var r1 cache.AccessResult
-	s.l1[c.ID()].AccessInto(cache.Addr(ref.Addr), ref.Write, &r1)
+	l1.AccessInto(cache.Addr(ref.Addr), ref.Write, &r1)
 	if r1.Hit {
 		return
 	}

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/ckpt"
 )
 
 // FuzzReadTrace hardens the trace-file parser against arbitrary
@@ -73,4 +75,61 @@ func FuzzGeneratorProfile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// restoreFuzzProfiles are the profiles FuzzGeneratorRestore restores
+// into: between them every pattern, scan loops and phases.
+var restoreFuzzProfiles = []string{"gcc", "libquantum", "omnetpp", "mcf", "h264ref"}
+
+// FuzzGeneratorRestore hardens RestoreState against corrupt
+// checkpoints: it must never panic, and a state it accepts must keep
+// generating every reference inside its pattern's region.
+func FuzzGeneratorRestore(f *testing.F) {
+	for i, name := range restoreFuzzProfiles {
+		_, good := corruptState(f, name, func(*Generator) {})
+		f.Add(uint8(i), good)
+	}
+	for _, tc := range restoreCases {
+		for i, name := range restoreFuzzProfiles {
+			if name == tc.profile {
+				_, state := corruptState(f, name, tc.mutate)
+				f.Add(uint8(i), state)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
+		p, _ := ProfileByName(restoreFuzzProfiles[int(which)%len(restoreFuzzProfiles)])
+		g := MustNewGenerator(p, 1)
+		if g.RestoreState(ckpt.NewReader(state)) != nil {
+			return
+		}
+		for i := 0; i < 2000; i++ {
+			if r := g.Next(); !g.inRegion(r) {
+				t.Fatalf("ref %d: %s address %#x outside its region", i, kindName(r.Kind), r.Addr)
+			}
+		}
+	})
+}
+
+func kindName(k Kind) string {
+	return [...]string{"hot", "stream", "scan", "pointer", "local"}[k]
+}
+
+// inRegion reports whether r lies inside the region its Kind draws
+// from.
+func (g *Generator) inRegion(r Ref) bool {
+	switch r.Kind {
+	case KindStream:
+		return r.Addr-streamBase < g.streamBytes
+	case KindScan:
+		off := r.Addr - scanBase
+		i := off >> 32
+		return i < uint64(len(g.scanSize)) && off&(1<<32-1) < g.scanSize[i]
+	case KindPointer:
+		return r.Addr-pointerBase < g.pointerLines*lineBytes
+	case KindLocal:
+		return r.Addr-localBase < g.localWords*strideBytes
+	default:
+		return r.Addr-hotBase < g.maxHotBytes()
+	}
 }

@@ -62,8 +62,8 @@ func (g *Generator) RestoreState(r *ckpt.Reader) error {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if k <= 0 {
-			r.Failf("trace: invalid zipf cache key %d", k)
+		if !g.hotSize(k) {
+			r.Failf("trace: zipf cache key %d is not one of the profile's hot sizes", k)
 			return r.Err()
 		}
 		lines := k * 1024 / lineBytes
@@ -93,6 +93,36 @@ func (g *Generator) RestoreState(r *ckpt.Reader) error {
 		r.Failf("trace: scanNext %d out of range", scanNext)
 		return r.Err()
 	}
+	// Next advances positions by compare-and-reset, which is only
+	// exact for in-range, stride-aligned state: refuse anything else
+	// rather than generate addresses outside the pattern's region.
+	if streamPos >= g.streamBytes || streamPos%strideBytes != 0 {
+		r.Failf("trace: stream position %d outside the %d-byte region or unaligned", streamPos, g.streamBytes)
+		return r.Err()
+	}
+	for i, pos := range scanPos {
+		if pos >= g.scanSize[i] || pos%strideBytes != 0 {
+			r.Failf("trace: scan %d position %d outside the %d-byte loop or unaligned", i, pos, g.scanSize[i])
+			return r.Err()
+		}
+	}
+	if burstOff >= lineBytes || burstOff%strideBytes != 0 {
+		r.Failf("trace: burst offset %d outside the line or unaligned", burstOff)
+		return r.Err()
+	}
+	if burstLine%lineBytes != 0 || burstLine-hotBase >= g.maxHotBytes() {
+		r.Failf("trace: burst line %#x outside the hot region", burstLine)
+		return r.Err()
+	}
+	if burstLeft < 0 {
+		r.Failf("trace: negative burst length %d", burstLeft)
+		return r.Err()
+	}
+	phases := max(len(g.p.PhaseHotKB), 1) // single-phase profiles stay in phase 0
+	if phaseIdx < 0 || phaseIdx >= phases {
+		r.Failf("trace: phase index %d out of range", phaseIdx)
+		return r.Err()
+	}
 	g.rng.SetState(rngState)
 	g.zipfCache = cache
 	g.zipf = z
@@ -105,5 +135,30 @@ func (g *Generator) RestoreState(r *ckpt.Reader) error {
 	g.burstOff = burstOff
 	g.refs = refs
 	g.phaseIdx = phaseIdx
+	g.nextPhase = g.phaseDue()
 	return nil
+}
+
+// hotSize reports whether kb is a hot working-set size of the profile
+// (HotKB or one of the phase sizes): the only keys zipfFor creates.
+func (g *Generator) hotSize(kb int) bool {
+	if kb == g.p.HotKB {
+		return true
+	}
+	for _, k := range g.p.PhaseHotKB {
+		if k == kb {
+			return true
+		}
+	}
+	return false
+}
+
+// maxHotBytes is the extent of the largest hot region the profile
+// draws lines from; a burst may outlive the phase that chose its line.
+func (g *Generator) maxHotBytes() uint64 {
+	kb := g.p.HotKB
+	for _, k := range g.p.PhaseHotKB {
+		kb = max(kb, k)
+	}
+	return uint64(kb) * 1024
 }

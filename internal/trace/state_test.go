@@ -86,3 +86,68 @@ func TestGeneratorRestoreRejectsCorrupt(t *testing.T) {
 		t.Fatal("cross-profile state restored without error")
 	}
 }
+
+// corruptState checkpoints a generator of the named profile after
+// 1000 references, with mutate applied to its state first.
+func corruptState(t testing.TB, name string, mutate func(*Generator)) (Profile, []byte) {
+	p, ok := ProfileByName(name)
+	if !ok {
+		t.Fatalf("profile %s missing", name)
+	}
+	g := MustNewGenerator(p, 1)
+	for i := 0; i < 1000; i++ {
+		g.Next()
+	}
+	mutate(g)
+	w := ckpt.NewWriter()
+	g.AppendState(w)
+	return p, w.Bytes()
+}
+
+// restoreCases lists in-range edge states that must restore and
+// out-of-range ones that RestoreState must refuse: Next's
+// compare-and-reset advances assume in-range, stride-aligned state.
+var restoreCases = []struct {
+	name    string
+	profile string
+	mutate  func(*Generator)
+	ok      bool
+}{
+	{"unmodified", "omnetpp", func(*Generator) {}, true},
+	{"stream at last word", "libquantum", func(g *Generator) { g.streamPos = g.streamBytes - strideBytes }, true},
+	{"stream at region end", "libquantum", func(g *Generator) { g.streamPos = g.streamBytes }, false},
+	{"stream past region", "omnetpp", func(g *Generator) { g.streamPos = 1 << 40 }, false},
+	{"stream unaligned", "libquantum", func(g *Generator) { g.streamPos = 12 }, false},
+	{"scan at last word", "omnetpp", func(g *Generator) { g.scanPos[3] = g.scanSize[3] - strideBytes }, true},
+	{"scan at loop end", "omnetpp", func(g *Generator) { g.scanPos[1] = g.scanSize[1] }, false},
+	{"scan unaligned", "omnetpp", func(g *Generator) { g.scanPos[2] = 20 }, false},
+	{"burst at last word", "gcc", func(g *Generator) { g.burstOff = lineBytes - strideBytes }, true},
+	{"burst offset at line end", "gcc", func(g *Generator) { g.burstOff = lineBytes }, false},
+	{"burst offset unaligned", "gcc", func(g *Generator) { g.burstOff = 3 }, false},
+	{"burst line at region end", "gcc", func(g *Generator) { g.burstLine = hotBase + 768<<10 }, false},
+	{"burst line unaligned", "gcc", func(g *Generator) { g.burstLine = hotBase + 5 }, false},
+	{"burst line in largest phase", "h264ref", func(g *Generator) { g.burstLine = hotBase + 2048<<10 - lineBytes }, true},
+	{"zipf key not a hot size", "gcc", func(g *Generator) { g.zipfCache[999] = g.zipf }, false},
+	{"burst length zero", "gcc", func(g *Generator) { g.burstLeft = 0 }, true},
+	{"burst length negative", "gcc", func(g *Generator) { g.burstLeft = -1 }, false},
+	{"last phase", "h264ref", func(g *Generator) { g.phaseIdx = 3 }, true},
+	{"phase past table", "h264ref", func(g *Generator) { g.phaseIdx = 4 }, false},
+	{"phase negative", "h264ref", func(g *Generator) { g.phaseIdx = -1 }, false},
+	{"phase on single-phase profile", "gcc", func(g *Generator) { g.phaseIdx = 1 }, false},
+}
+
+// TestGeneratorRestoreBounds checks RestoreState's range validation
+// case by case.
+func TestGeneratorRestoreBounds(t *testing.T) {
+	for _, tc := range restoreCases {
+		p, state := corruptState(t, tc.profile, tc.mutate)
+		g := MustNewGenerator(p, 1)
+		err := g.RestoreState(ckpt.NewReader(state))
+		if tc.ok && err != nil {
+			t.Errorf("%s: valid state refused: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: out-of-range state restored", tc.name)
+		}
+	}
+}

@@ -33,6 +33,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/xrand"
 )
@@ -231,7 +232,7 @@ const (
 // Generator produces the reference stream of one benchmark.
 type Generator struct {
 	p    Profile
-	rng  *xrand.RNG
+	rng  xrand.RNG
 	zipf *xrand.Zipf
 	// zipfKey is the hot-size key g.zipf was selected with (needed to
 	// re-identify the active sampler after a checkpoint restore).
@@ -244,6 +245,28 @@ type Generator struct {
 	geoGap   *xrand.GeoSampler
 	geoBurst *xrand.GeoSampler
 
+	// Profile constants resolved once by NewGenerator, so Next never
+	// reads (or copies) the Profile. Each probability is held as its
+	// xrand.Below threshold: a draw u = Float64() falls below it iff
+	// its numerator does, so Next compares integers. The pattern cuts
+	// are the same float sums the mixture was always drawn against.
+	writeBelow   uint64 // WriteFrac
+	streamBelow  uint64 // StreamFrac
+	scanBelow    uint64 // StreamFrac + ScanFrac
+	pointerBelow uint64 // StreamFrac + ScanFrac + PointerFrac
+	localBelow   uint64 // EffectiveLocalFrac
+	// localWords and pointerLines size the uniform draws.
+	localWords   uint64
+	pointerLines uint64
+	// phaseLen is PhaseLenRefs (0 = single phase) and nextPhase the
+	// reference count at which the next phase switch is due.
+	phaseLen  uint64
+	nextPhase uint64
+
+	// Stream and scan positions stay 8-aligned and below their region
+	// size (every size is a multiple of strideBytes), so advancing is
+	// a compare-and-reset rather than a modulus; RestoreState rejects
+	// checkpoints that break this.
 	streamPos   uint64
 	streamBytes uint64
 	scanPos     []uint64
@@ -276,11 +299,22 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 		return nil, err
 	}
 	g := &Generator{
-		p:           p,
-		rng:         xrand.New(seed ^ hashName(p.Name)),
-		zipfCache:   make(map[int]*xrand.Zipf),
-		streamBytes: defaultStreamBytes,
+		p:            p,
+		zipfCache:    make(map[int]*xrand.Zipf),
+		streamBytes:  defaultStreamBytes,
+		writeBelow:   xrand.Below(p.WriteFrac),
+		streamBelow:  xrand.Below(p.StreamFrac),
+		scanBelow:    xrand.Below(p.StreamFrac + p.ScanFrac),
+		pointerBelow: xrand.Below(p.StreamFrac + p.ScanFrac + p.PointerFrac),
+		localBelow:   xrand.Below(p.EffectiveLocalFrac()),
+		localWords:   uint64(p.EffectiveLocalKB()) * 1024 / strideBytes,
+		phaseLen:     uint64(p.PhaseLenRefs),
 	}
+	g.rng.Seed(seed ^ hashName(p.Name))
+	if p.PointerFrac > 0 {
+		g.pointerLines = uint64(p.PointerKB) * 1024 / lineBytes
+	}
+	g.nextPhase = g.phaseDue()
 	if p.StreamKB > 0 {
 		g.streamBytes = uint64(p.StreamKB) * 1024
 	}
@@ -295,6 +329,20 @@ func NewGenerator(p Profile, seed uint64) (*Generator, error) {
 		g.scanSize = append(g.scanSize, uint64(kb)*1024)
 	}
 	return g, nil
+}
+
+// phaseDue returns the reference count at which the next phase switch
+// happens, given g.refs: the first positive multiple of the phase
+// length not below it (a switch at refs itself is still pending), or
+// never for a single-phase profile.
+func (g *Generator) phaseDue() uint64 {
+	if g.phaseLen == 0 {
+		return math.MaxUint64
+	}
+	if g.refs == 0 {
+		return g.phaseLen
+	}
+	return (g.refs + g.phaseLen - 1) / g.phaseLen * g.phaseLen
 }
 
 // MustNewGenerator is NewGenerator but panics on error.
@@ -337,55 +385,56 @@ func (g *Generator) Phase() int { return g.phaseIdx }
 
 // Next produces the next memory reference.
 func (g *Generator) Next() Ref {
-	// Phase switching.
-	if g.p.PhaseLenRefs > 0 && g.refs > 0 && g.refs%uint64(g.p.PhaseLenRefs) == 0 {
-		g.phaseIdx = int(g.refs/uint64(g.p.PhaseLenRefs)) % len(g.p.PhaseHotKB)
-		g.zipfKey = g.p.PhaseHotKB[g.phaseIdx]
-		g.zipf = g.zipfFor(g.zipfKey)
+	if g.refs == g.nextPhase {
+		g.switchPhase()
 	}
 	g.refs++
 
 	r := Ref{
-		Gap:   g.geoGap.Next(g.rng),
-		Write: g.rng.Bool(g.p.WriteFrac),
+		Gap:   g.geoGap.Next(&g.rng),
+		Write: g.rng.Numerator() < g.writeBelow,
 	}
 
 	// A hot burst in progress continues regardless of the pattern
 	// mixture (it models word accesses to one cached line).
 	if g.burstLeft > 0 {
 		g.burstLeft--
-		g.burstOff = (g.burstOff + strideBytes) % lineBytes
+		g.burstOff = (g.burstOff + strideBytes) & (lineBytes - 1)
 		r.Addr = g.burstLine + g.burstOff
 		r.Kind = KindHot
 		return r
 	}
 
-	u := g.rng.Float64()
+	u := g.rng.Numerator()
 	switch {
-	case u < g.p.StreamFrac:
+	case u < g.streamBelow:
 		r.Addr = streamBase + g.streamPos
 		r.Kind = KindStream
-		g.streamPos = (g.streamPos + strideBytes) % g.streamBytes
-	case u < g.p.StreamFrac+g.p.ScanFrac:
+		if g.streamPos += strideBytes; g.streamPos >= g.streamBytes {
+			g.streamPos = 0
+		}
+	case u < g.scanBelow:
 		// Round-robin across the scan loops; each loop advances
 		// word-by-word through its own region.
 		i := g.scanNext
-		g.scanNext = (g.scanNext + 1) % len(g.scanPos)
+		if g.scanNext++; g.scanNext == len(g.scanPos) {
+			g.scanNext = 0
+		}
 		base := scanBase + uint64(i)<<32 // disjoint region per loop
 		r.Addr = base + g.scanPos[i]
 		r.Kind = KindScan
-		g.scanPos[i] = (g.scanPos[i] + strideBytes) % g.scanSize[i]
-	case u < g.p.StreamFrac+g.p.ScanFrac+g.p.PointerFrac:
-		lines := uint64(g.p.PointerKB) * 1024 / lineBytes
-		r.Addr = pointerBase + g.rng.Uint64n(lines)*lineBytes
+		if g.scanPos[i] += strideBytes; g.scanPos[i] >= g.scanSize[i] {
+			g.scanPos[i] = 0
+		}
+	case u < g.pointerBelow:
+		r.Addr = pointerBase + g.rng.Uint64n(g.pointerLines)*lineBytes
 		r.Kind = KindPointer
 	default:
 		// Hot share: a LocalFrac portion goes to the small local
 		// region (pure L1 traffic); the rest draws a Zipf hot line
 		// and possibly starts a spatial burst in it.
-		if lf := g.p.EffectiveLocalFrac(); lf > 0 && g.rng.Float64() < lf {
-			words := uint64(g.p.EffectiveLocalKB()) * 1024 / strideBytes
-			r.Addr = localBase + g.rng.Uint64n(words)*strideBytes
+		if g.localBelow > 0 && g.rng.Numerator() < g.localBelow {
+			r.Addr = localBase + g.rng.Uint64n(g.localWords)*strideBytes
 			r.Kind = KindLocal
 			return r
 		}
@@ -395,10 +444,18 @@ func (g *Generator) Next() Ref {
 		r.Kind = KindHot
 		if g.geoBurst != nil {
 			// Geometric burst length with the configured mean.
-			g.burstLeft = g.geoBurst.Next(g.rng)
+			g.burstLeft = g.geoBurst.Next(&g.rng)
 		}
 	}
 	return r
+}
+
+// switchPhase enters the working-set phase due at g.refs.
+func (g *Generator) switchPhase() {
+	g.phaseIdx = int(g.refs/g.phaseLen) % len(g.p.PhaseHotKB)
+	g.zipfKey = g.p.PhaseHotKB[g.phaseIdx]
+	g.zipf = g.zipfFor(g.zipfKey)
+	g.nextPhase += g.phaseLen
 }
 
 // profiles is the full benchmark table. Hot sizes, stream mixes,

@@ -404,12 +404,23 @@ func TestBoundedStreamWraps(t *testing.T) {
 	}
 }
 
+// BenchmarkGeneratorNext times Next per dominant access pattern.
 func BenchmarkGeneratorNext(b *testing.B) {
-	p, _ := ProfileByName("sphinx")
-	g := MustNewGenerator(p, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
+	for _, name := range []string{
+		"gamess",     // local/hot: almost every ref is L1-resident
+		"libquantum", // stream
+		"omnetpp",    // scan loops
+		"mcf",        // pointer chasing
+		"h264ref",    // phased working set
+	} {
+		b.Run(name, func(b *testing.B) {
+			p, _ := ProfileByName(name)
+			g := MustNewGenerator(p, 1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next()
+			}
+		})
 	}
 }
 

@@ -95,9 +95,10 @@ func TestPropValidOnlyRefreshesAtMostRefreshAll(t *testing.T) {
 			cycle += op.Delta
 			ea.AdvanceTo(cycle)
 			ev.AdvanceTo(cycle)
-		case OpRead, OpWrite:
-			ca.Access(op.Addr, op.Kind == OpWrite)
-			cv.Access(op.Addr, op.Kind == OpWrite)
+		case OpRead, OpWrite, OpReadMRU, OpWriteMRU:
+			write := op.Kind == OpWrite || op.Kind == OpWriteMRU
+			ca.Access(op.Addr, write)
+			cv.Access(op.Addr, write)
 		case OpReconfigure:
 			ca.SetActiveWays(op.Module, op.Ways)
 			cv.SetActiveWays(op.Module, op.Ways)

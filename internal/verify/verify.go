@@ -43,6 +43,12 @@ const (
 	// events that became due (refresh harness only; the cache-only
 	// harness treats it as a no-op).
 	OpAdvance
+	// OpReadMRU / OpWriteMRU access an address the way the simulator
+	// does an L1 reference: the production cache tries its MRU-hit
+	// fast path (AccessMRU) and falls back to a full access when it
+	// declines; the oracle performs a plain access.
+	OpReadMRU
+	OpWriteMRU
 
 	numOpKinds
 )
@@ -66,6 +72,10 @@ func (k OpKind) String() string {
 		return "reset-interval"
 	case OpAdvance:
 		return "advance"
+	case OpReadMRU:
+		return "read-mru"
+	case OpWriteMRU:
+		return "write-mru"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(k))
 	}
@@ -74,7 +84,7 @@ func (k OpKind) String() string {
 // Op is one schedule entry. Operand fields are interpreted per kind.
 type Op struct {
 	Kind   OpKind
-	Addr   cache.Addr // OpRead, OpWrite, OpProbe
+	Addr   cache.Addr // OpRead, OpWrite, OpProbe, OpReadMRU, OpWriteMRU
 	Module int        // OpReconfigure
 	Ways   int        // OpReconfigure
 	Set    int        // OpInvalidateLine
@@ -102,20 +112,29 @@ func RandomOps(rng *xrand.RNG, p cache.Params, n int, retention uint64) []Op {
 				op.Kind = OpWrite
 			}
 			op.Addr = cache.Addr(rng.Uint64n(lineSpan) * uint64(p.LineBytes))
-		case r < 78:
+		case r < 76: // simulator-style access, often repeating the last line
+			op.Kind = OpReadMRU
+			if rng.Intn(3) == 0 {
+				op.Kind = OpWriteMRU
+			}
+			op.Addr = cache.Addr(rng.Uint64n(lineSpan) * uint64(p.LineBytes))
+			if len(ops) > 0 && rng.Intn(2) == 0 {
+				op.Addr = ops[len(ops)-1].Addr
+			}
+		case r < 82:
 			op.Kind = OpProbe
 			op.Addr = cache.Addr(rng.Uint64n(lineSpan) * uint64(p.LineBytes))
-		case r < 84:
+		case r < 87:
 			op.Kind = OpReconfigure
 			op.Module = rng.Intn(p.Modules)
 			op.Ways = 1 + rng.Intn(p.Assoc)
-		case r < 90:
+		case r < 92:
 			op.Kind = OpInvalidateLine
 			op.Set = rng.Intn(numSets)
 			op.Way = rng.Intn(p.Assoc)
-		case r < 92:
+		case r < 93:
 			op.Kind = OpInvalidateAll
-		case r < 95:
+		case r < 96:
 			op.Kind = OpResetInterval
 		default:
 			op.Kind = OpAdvance
@@ -152,6 +171,10 @@ func DecodeOps(data []byte, p cache.Params, retention uint64) []Op {
 			op = Op{Kind: OpWrite, Addr: cache.Addr(operand % lineSpan * uint64(p.LineBytes))}
 		case OpProbe:
 			op = Op{Kind: OpProbe, Addr: cache.Addr(operand % lineSpan * uint64(p.LineBytes))}
+		case OpReadMRU:
+			op = Op{Kind: OpReadMRU, Addr: cache.Addr(operand % lineSpan * uint64(p.LineBytes))}
+		case OpWriteMRU:
+			op = Op{Kind: OpWriteMRU, Addr: cache.Addr(operand % lineSpan * uint64(p.LineBytes))}
 		case OpReconfigure:
 			op = Op{
 				Kind:   OpReconfigure,
@@ -186,6 +209,9 @@ type CacheDiff struct {
 	Impl *cache.Cache
 	Orc  *oracle.Cache
 	p    cache.Params
+	// observed is set when a refresh policy watches the caches; the
+	// MRU fast path must then always decline.
+	observed bool
 }
 
 // NewCacheDiff builds both models from the same parameters.
@@ -210,6 +236,21 @@ func (d *CacheDiff) Apply(op Op) error {
 		ro := d.Orc.Access(op.Addr, op.Kind == OpWrite)
 		if ri != ro {
 			return fmt.Errorf("%v %#x: impl %+v, oracle %+v", op.Kind, uint64(op.Addr), ri, ro)
+		}
+	case OpReadMRU, OpWriteMRU:
+		write := op.Kind == OpWriteMRU
+		ro := d.Orc.Access(op.Addr, write)
+		// The fast path must take exactly the MRU hits it is allowed
+		// to; CheckState then proves it left the same state behind.
+		eligible := !d.observed && !d.p.TrackWear && !ro.Leader
+		fast := d.Impl.AccessMRU(op.Addr, write)
+		if want := eligible && ro.Hit && ro.LRUPos == 0; fast != want {
+			return fmt.Errorf("%v %#x: AccessMRU %v, oracle %+v", op.Kind, uint64(op.Addr), fast, ro)
+		}
+		if !fast {
+			if ri := d.Impl.Access(op.Addr, write); ri != ro {
+				return fmt.Errorf("%v %#x: impl %+v, oracle %+v", op.Kind, uint64(op.Addr), ri, ro)
+			}
 		}
 	case OpProbe:
 		if pi, po := d.Impl.Probe(op.Addr), d.Orc.Probe(op.Addr); pi != po {
@@ -393,6 +434,7 @@ func NewRefreshDiff(p cache.Params, policy string, phases int, retention uint64)
 		}
 		d.orcPoly = ref
 		implPolicy, orcPolicy = rpv, ref
+		cd.observed = true // the policy watches line touches
 	case PolicyRPD:
 		rpd, err := refrint.NewRPD(cd.Impl, d.implClock, phases, retention)
 		if err != nil {
@@ -404,6 +446,7 @@ func NewRefreshDiff(p cache.Params, policy string, phases int, retention uint64)
 		}
 		d.implRPD, d.orcPoly = rpd, ref
 		implPolicy, orcPolicy = rpd, ref
+		cd.observed = true // the policy watches line touches
 	case PolicySmartRefresh:
 		sr, err := smartref.New(cd.Impl, phases)
 		if err != nil {
@@ -415,6 +458,7 @@ func NewRefreshDiff(p cache.Params, policy string, phases int, retention uint64)
 		}
 		d.implSR, d.orcSR = sr, ref
 		implPolicy, orcPolicy = sr, ref
+		cd.observed = true // the policy watches line touches
 	default:
 		return nil, fmt.Errorf("verify: unknown policy %q", policy)
 	}
@@ -445,7 +489,7 @@ func (d *RefreshDiff) Apply(op Op) error {
 		d.cycle += op.Delta
 		d.implEng.AdvanceTo(d.cycle)
 		d.orcEng.AdvanceTo(d.cycle)
-	case OpRead, OpWrite:
+	case OpRead, OpWrite, OpReadMRU, OpWriteMRU:
 		// Compare the refresh-induced stall the access would see, then
 		// perform it (AccessDelay advances both engines to the cycle).
 		bank := d.Cache.Impl.BankOf(d.Cache.Impl.SetIndex(op.Addr))

@@ -38,7 +38,17 @@ type GeoSampler struct {
 	// the scan's branches are far more predictable, which is what the
 	// hot path lives or dies by.
 	kstart []int32
+	// direct[idx] is the one sample every numerator in bucket idx
+	// yields, or noDirect when a bound or its geoGuard band reaches
+	// into the bucket (or the bucket holds j == 0, or the sample does
+	// not fit a byte). Bounds shrink geometrically, so all but a few
+	// dozen of the 4096 buckets are uniform and a draw is one load
+	// from a 4 KB table.
+	direct []uint8
 }
+
+// noDirect marks a bucket the direct table does not answer.
+const noDirect = 0xFF
 
 // geoIdxBits is the width of the first-level index over numerators.
 const geoIdxBits = 12
@@ -111,6 +121,22 @@ func NewGeoSampler(p float64) *GeoSampler {
 		}
 		g.kstart[idx] = int32(k)
 	}
+	g.direct = make([]uint8, 1<<geoIdxBits)
+	for idx := range g.direct {
+		g.direct[idx] = noDirect
+		jlo := uint64(idx) << (53 - geoIdxBits)
+		jhi := jlo + 1<<(53-geoIdxBits) - 1
+		// kstart is the answer for jhi (jhi < bound[k-1] by its
+		// construction). The bucket is uniform iff jlo maps to the
+		// same k and neither end enters a guard band: then sample
+		// answers every numerator in it with k and never falls back.
+		k := int(g.kstart[idx])
+		if jlo == 0 || jlo < g.bound[k] || jlo-g.bound[k] < geoGuard ||
+			(k > 0 && g.bound[k-1]-jhi <= geoGuard) || k >= noDirect {
+			continue
+		}
+		g.direct[idx] = uint8(k)
+	}
 	return g
 }
 
@@ -137,20 +163,33 @@ func (g *GeoSampler) Next(r *RNG) int {
 	if g.p == 1 {
 		return 0 // Geometric returns before drawing when p == 1
 	}
-	return g.sample(r.Uint64() >> 11)
+	j := r.Uint64() >> 11
+	if g.direct != nil {
+		if d := g.direct[j>>(53-geoIdxBits)]; d != noDirect {
+			return int(d)
+		}
+	}
+	return g.sample(j)
 }
 
 // sample maps one 53-bit numerator to its geometric value.
 func (g *GeoSampler) sample(j uint64) int {
 	b := g.bound
-	if b == nil || j == 0 {
+	if b == nil {
+		return g.fallback(j)
+	}
+	idx := j >> (53 - geoIdxBits)
+	if d := g.direct[idx]; d != noDirect {
+		return int(d)
+	}
+	if j == 0 {
 		return g.fallback(j)
 	}
 	// Smallest k with j >= b[k]: start at the bucket's minimum k and
 	// scan up (b is non-increasing and b[maxK] == 1 <= j, so the
 	// scan terminates; kstart never overshoots because a smaller j
 	// can only map to a larger k).
-	k := int(g.kstart[j>>(53-geoIdxBits)])
+	k := int(g.kstart[idx])
 	for j < b[k] {
 		k++
 	}

@@ -143,35 +143,15 @@ func TestZipfBucketIndexMatchesFullSearch(t *testing.T) {
 		r := New(uint64(tc.n)*77 + 1)
 		for i := 0; i < 100_000; i++ {
 			u := r.Float64()
-			b := int(u * zipfBuckets)
-			lo, hi := int(z.t.lo[b]), int(z.t.hi[b])
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if cdf[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if want := full(u); lo != want {
-				t.Fatalf("n=%d s=%v u=%v: bucketed=%d full=%d", tc.n, tc.s, u, lo, want)
+			if got, want := z.t.search(u), full(u); got != want {
+				t.Fatalf("n=%d s=%v u=%v: bucketed=%d full=%d", tc.n, tc.s, u, got, want)
 			}
 		}
 		// Exact bucket thresholds are the adversarial inputs.
 		for b := 0; b < zipfBuckets; b++ {
 			u := float64(b) / zipfBuckets
-			bb := int(u * zipfBuckets)
-			lo, hi := int(z.t.lo[bb]), int(z.t.hi[bb])
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if cdf[mid] < u {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if want := full(u); lo != want {
-				t.Fatalf("n=%d s=%v threshold u=%v: bucketed=%d full=%d", tc.n, tc.s, u, lo, want)
+			if got, want := z.t.search(u), full(u); got != want {
+				t.Fatalf("n=%d s=%v threshold u=%v: bucketed=%d full=%d", tc.n, tc.s, u, got, want)
 			}
 		}
 	}

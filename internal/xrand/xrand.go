@@ -69,6 +69,9 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
 	}
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1) // x % n for a power-of-two n, without a division
+	}
 	return r.Uint64() % n
 }
 
@@ -81,6 +84,25 @@ func (r *RNG) Float64() float64 {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
+}
+
+// Numerator returns the next 53-bit numerator j, the draw behind
+// Float64() == j/2^53.
+func (r *RNG) Numerator() uint64 { return r.Uint64() >> 11 }
+
+// Below returns the integer threshold t with j < t exactly when
+// j/2^53 < p, for every 53-bit numerator j: comparing Numerator()
+// against it decides Float64() < p without the float conversion.
+// Exact because j/2^53 and p·2^53 are both computed without rounding.
+func Below(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN, which no u is below
+		return 0
+	case p >= 1:
+		return 1 << 53
+	default:
+		return uint64(math.Ceil(p * (1 << 53)))
+	}
 }
 
 // Geometric returns a sample from the geometric distribution with
@@ -126,16 +148,20 @@ type Zipf struct {
 
 // zipfBuckets is the fan-out of the first-level index over the CDF.
 // A power of two so that int(u*zipfBuckets) is computed exactly and
-// u < (bucket+1)/zipfBuckets holds by construction.
-const zipfBuckets = 256
+// u < (bucket+1)/zipfBuckets holds by construction. 4096 keeps the
+// bracketed search short in the long tail, where a coarser bucket
+// spans hundreds of CDF entries (the index costs 16 KB per shared
+// (n, s) table).
+const zipfBuckets = 4096
 
 type zipfTable struct {
 	cdf []float64
-	// For u in bucket b, the first CDF entry >= u lies in
-	// [lo[b], hi[b]]: lo[b] is the first entry >= b/zipfBuckets and
-	// hi[b] the first entry >= (b+1)/zipfBuckets. The bracketed
-	// binary search returns exactly what a full-range search would.
-	lo, hi []int32
+	// first[b] is the first CDF entry >= b/zipfBuckets, for b in
+	// [0, zipfBuckets]. For u in bucket b the first entry >= u lies
+	// in [first[b], first[b+1]] — two adjacent words, so one cache
+	// line — and the bracketed binary search returns exactly what a
+	// full-range search would.
+	first []int32
 }
 
 type zipfTableKey struct {
@@ -161,28 +187,17 @@ func zipfTableFor(n int, s float64) *zipfTable {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // guard against rounding
-	t := &zipfTable{
-		cdf: cdf,
-		lo:  make([]int32, zipfBuckets),
-		hi:  make([]int32, zipfBuckets),
-	}
+	t := &zipfTable{cdf: cdf, first: make([]int32, zipfBuckets+1)}
 	idx := 0
-	for b := 0; b < zipfBuckets; b++ {
+	for b := range t.first {
+		// For b == zipfBuckets the threshold is 1, and an entry >= 1
+		// exists because cdf[n-1] is pinned to 1.
 		thr := float64(b) / zipfBuckets
 		for idx < n-1 && cdf[idx] < thr {
 			idx++
 		}
-		t.lo[b] = int32(idx)
-		if b > 0 {
-			t.hi[b-1] = int32(idx)
-		}
+		t.first[b] = int32(idx)
 	}
-	// hi for the last bucket: first entry >= 1, which exists because
-	// cdf[n-1] is pinned to 1.
-	for idx < n-1 && cdf[idx] < 1 {
-		idx++
-	}
-	t.hi[zipfBuckets-1] = int32(idx)
 	v, _ := zipfTables.LoadOrStore(key, t)
 	return v.(*zipfTable)
 }
@@ -212,10 +227,13 @@ func (z *Zipf) RNGState() uint64 { return z.rng.state }
 // search over the whole CDF (the search path differs, the unique
 // answer does not).
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	t := z.t
+	return z.t.search(z.rng.Float64())
+}
+
+// search returns the first CDF entry >= u, for u in [0, 1).
+func (t *zipfTable) search(u float64) int {
 	b := int(u * zipfBuckets)
-	lo, hi := int(t.lo[b]), int(t.hi[b])
+	lo, hi := int(t.first[b]), int(t.first[b+1])
 	cdf := t.cdf
 	for lo < hi {
 		mid := (lo + hi) / 2

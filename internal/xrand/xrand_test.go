@@ -241,6 +241,24 @@ func TestUint64nRange(t *testing.T) {
 	}
 }
 
+// TestUint64nMatchesModulus pins Uint64n to Uint64() % n, including
+// the masked path taken for powers of two.
+func TestUint64nMatchesModulus(t *testing.T) {
+	a, b := New(8), New(8)
+	for shift := 0; shift < 64; shift++ {
+		for _, n := range []uint64{1 << shift, 1<<shift + 1, 3 << shift} {
+			if n == 0 {
+				continue
+			}
+			for i := 0; i < 64; i++ {
+				if got, want := a.Uint64n(n), b.Uint64()%n; got != want {
+					t.Fatalf("n=%d: Uint64n=%d, Uint64()%%n=%d", n, got, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
@@ -307,5 +325,29 @@ func TestZipfN(t *testing.T) {
 	z := NewZipf(New(1), 17, 0.5)
 	if z.N() != 17 {
 		t.Fatalf("N = %d", z.N())
+	}
+}
+
+// TestBelowMatchesFloatCompare checks Numerator() < Below(p) decides
+// exactly Float64() < p, at the threshold and around it.
+func TestBelowMatchesFloatCompare(t *testing.T) {
+	ps := []float64{0, -0.5, math.NaN(), 1, 1.5, math.Inf(1), 5e-324, 1e-17,
+		0.85, 0.15, 0.2, 0.25, 0.3, 0.45, 1.0 / 3, 0.99999999999999989,
+		0.3 + 0.4, 0.02 + 0.45 + 0.015}
+	r := New(3)
+	for i := 0; i < 1000; i++ {
+		ps = append(ps, r.Float64(), float64(r.Uint64()>>11)/(1<<53))
+	}
+	const top = uint64(1)<<53 - 1
+	for _, p := range ps {
+		b := Below(p)
+		for _, j := range []uint64{0, 1, b - 2, b - 1, b, b + 1, top} {
+			if j > top {
+				continue
+			}
+			if got, want := j < b, float64(j)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v j=%d: j < Below(p)=%d is %v, float compare %v", p, j, b, got, want)
+			}
+		}
 	}
 }

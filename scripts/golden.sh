@@ -8,8 +8,9 @@
 #
 # The golden set is deliberately small but broad: table2 exercises the
 # energy model alone, fig3 the full single-core simulation pipeline
-# (baseline, RPV, ESTEEM over the quick workload subset), and ablation
-# every other refresh policy. Floats in the JSON are canonicalized to
+# (baseline, RPV, ESTEEM over the quick workload subset), ablation
+# every other refresh policy, and fig4 the dual-core path (two
+# interleaved per-core streams over a shared 8 MB L2). Floats in the JSON are canonicalized to
 # 12 significant digits (internal/obs), which absorbs last-ulp
 # cross-architecture differences; any remaining diff is a real
 # behavioral change. When a change is intentional, run
@@ -19,7 +20,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 GOLDEN_DIR=results/golden
-GOLDEN_ARGS="-exp table2,fig3,ablation -quick -seed 1 -telemetry=false"
+GOLDEN_ARGS="-exp table2,fig3,ablation,fig4 -quick -seed 1 -telemetry=false"
 
 mode="${1:-check}"
 
