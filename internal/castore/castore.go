@@ -107,7 +107,8 @@ type Stats struct {
 	// Hits counts Get/GetOrCompute calls satisfied from the store
 	// (MemHits from the LRU, DiskHits from the artifact directory).
 	Hits, MemHits, DiskHits uint64
-	// Misses counts lookups that found nothing.
+	// Misses counts lookups that found nothing and did not coalesce
+	// onto another caller's flight (those count as Coalesced only).
 	Misses uint64
 	// Computes counts compute callbacks actually executed (the number
 	// of simulations the single-flight layer let through).
@@ -236,8 +237,8 @@ func (s *Store) Get(key string) (data []byte, ok bool, err error) {
 }
 
 // lookup is Get without miss accounting (hits are always counted):
-// GetOrCompute re-checks the store after registering its flight, and
-// that second probe must not inflate the miss counter.
+// GetOrCompute counts its miss only once it commits to computing, so a
+// caller that coalesces or finds the artifact on re-check is no miss.
 func (s *Store) lookup(key string) (data []byte, ok bool, err error) {
 	s.mu.Lock()
 	if el, hit := s.entries[key]; hit {
@@ -321,7 +322,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(conte
 	// persist), nil-safe and free when the context carries no span.
 	sp := tracez.FromContext(ctx)
 	lsp := sp.Child("store-get")
-	data, ok, err := s.Get(key)
+	data, ok, err := s.lookup(key)
 	lsp.SetAttr("hit", strconv.FormatBool(ok && err == nil))
 	lsp.End()
 	if err != nil {
@@ -356,6 +357,7 @@ func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(conte
 		return data, ok, gerr
 	}
 
+	s.misses.Add(1)
 	s.computes.Add(1)
 	data, err = compute(ctx)
 	if err == nil {

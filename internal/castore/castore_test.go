@@ -282,8 +282,10 @@ func TestGetOrComputeWaiterCancellation(t *testing.T) {
 	key := testKey(t, 1)
 	started := make(chan struct{})
 	gate := make(chan struct{})
+	done := make(chan struct{})
 
 	go func() {
+		defer close(done)
 		s.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 			close(started)
 			<-gate
@@ -301,6 +303,7 @@ func TestGetOrComputeWaiterCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	close(gate)
+	<-done // the computing caller persists into TempDir; let it finish before cleanup
 }
 
 func TestGetOrComputeHitSkipsCompute(t *testing.T) {

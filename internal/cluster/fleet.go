@@ -1,96 +1,34 @@
 // Fleet metrics aggregation: GET /v1/cluster/metrics pulls every live
-// member's JSON metrics snapshot, merges counters/gauges/histograms
-// into fleet totals, and exposes the result as Prometheus text (fleet
-// aggregates unlabeled, per-member breakdowns labeled {node="..."})
-// or JSON (?format=json).
-//
-// MetricsJSON is structurally identical to internal/serve's
-// MetricsView — duplicated here because serve imports cluster, and a
-// shared type would cycle. The JSON tags are the contract.
+// member's JSON metrics snapshot, merges them into fleet totals with
+// internal/metricz, and serves the result as Prometheus text or JSON
+// (?format=json).
 package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
+
+	"repro/internal/metricz"
 )
-
-// HistBucket is one cumulative histogram bucket (count of samples
-// ≤ LE seconds).
-type HistBucket struct {
-	LE    float64 `json:"le"`
-	Count uint64  `json:"count"`
-}
-
-// HistogramJSON is one histogram's snapshot.
-type HistogramJSON struct {
-	Count      uint64       `json:"count"`
-	SumSeconds float64      `json:"sum_seconds"`
-	Buckets    []HistBucket `json:"buckets"`
-}
-
-// MetricsJSON is one node's metrics snapshot, the shape every member
-// serves on /metrics?format=json.
-type MetricsJSON struct {
-	UptimeSeconds float64                  `json:"uptime_seconds"`
-	Gauges        map[string]float64       `json:"gauges"`
-	Counters      map[string]uint64        `json:"counters"`
-	Histograms    map[string]HistogramJSON `json:"histograms"`
-}
 
 // MemberMetrics is one member's row in a fleet view: its snapshot, or
 // the error that prevented fetching one (unreachable members are
 // reported, not silently excluded — but their zeros don't pollute the
 // fleet sums).
 type MemberMetrics struct {
-	URL     string       `json:"url"`
-	Error   string       `json:"error,omitempty"`
-	Metrics *MetricsJSON `json:"metrics,omitempty"`
+	URL     string            `json:"url"`
+	Error   string            `json:"error,omitempty"`
+	Metrics *metricz.Snapshot `json:"metrics,omitempty"`
 }
 
 // FleetView is the JSON shape of GET /v1/cluster/metrics?format=json.
 type FleetView struct {
-	Self    string          `json:"self"`
-	Members []MemberMetrics `json:"members"`
-	Fleet   MetricsJSON     `json:"fleet"`
-}
-
-// MergeMetrics folds src into dst: counters and gauges sum, histogram
-// buckets merge bucket-wise by LE boundary, and uptime takes the max
-// (a fleet is as old as its oldest member).
-func MergeMetrics(dst *MetricsJSON, src MetricsJSON) {
-	if src.UptimeSeconds > dst.UptimeSeconds {
-		dst.UptimeSeconds = src.UptimeSeconds
-	}
-	for k, v := range src.Gauges {
-		dst.Gauges[k] += v
-	}
-	for k, v := range src.Counters {
-		dst.Counters[k] += v
-	}
-	for k, h := range src.Histograms {
-		into := dst.Histograms[k]
-		into.Count += h.Count
-		into.SumSeconds += h.SumSeconds
-		byLE := make(map[float64]uint64, len(into.Buckets))
-		for _, b := range into.Buckets {
-			byLE[b.LE] = b.Count
-		}
-		for _, b := range h.Buckets {
-			byLE[b.LE] += b.Count
-		}
-		into.Buckets = into.Buckets[:0]
-		for le, n := range byLE {
-			into.Buckets = append(into.Buckets, HistBucket{LE: le, Count: n})
-		}
-		sort.Slice(into.Buckets, func(i, j int) bool { return into.Buckets[i].LE < into.Buckets[j].LE })
-		dst.Histograms[k] = into
-	}
+	Self    string           `json:"self"`
+	Members []MemberMetrics  `json:"members"`
+	Fleet   metricz.Snapshot `json:"fleet"`
 }
 
 // FleetMetrics fetches every live member's snapshot in parallel and
@@ -101,11 +39,7 @@ func (c *Coordinator) FleetMetrics(ctx context.Context) FleetView {
 	view := FleetView{
 		Self:    c.cfg.Self,
 		Members: make([]MemberMetrics, len(members)),
-		Fleet: MetricsJSON{
-			Gauges:     map[string]float64{},
-			Counters:   map[string]uint64{},
-			Histograms: map[string]HistogramJSON{},
-		},
+		Fleet:   metricz.NewSnapshot(0, nil),
 	}
 	var wg sync.WaitGroup
 	for i, u := range members {
@@ -113,52 +47,21 @@ func (c *Coordinator) FleetMetrics(ctx context.Context) FleetView {
 		go func(i int, u string) {
 			defer wg.Done()
 			view.Members[i] = MemberMetrics{URL: u}
-			m, err := c.fetchMemberMetrics(ctx, u)
+			m, err := metricz.Scrape(ctx, c.cfg.Client, u)
 			if err != nil {
 				view.Members[i].Error = err.Error()
 				return
 			}
-			view.Members[i].Metrics = m
+			view.Members[i].Metrics = &m
 		}(i, u)
 	}
 	wg.Wait()
 	for _, m := range view.Members {
 		if m.Metrics != nil {
-			MergeMetrics(&view.Fleet, *m.Metrics)
+			metricz.Merge(&view.Fleet, *m.Metrics)
 		}
 	}
 	return view
-}
-
-func (c *Coordinator) fetchMemberMetrics(ctx context.Context, base string) (*MetricsJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(base, "/")+"/metrics?format=json", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.cfg.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	var m MetricsJSON
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxClusterBody)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decoding metrics: %w", err)
-	}
-	if m.Gauges == nil {
-		m.Gauges = map[string]float64{}
-	}
-	if m.Counters == nil {
-		m.Counters = map[string]uint64{}
-	}
-	if m.Histograms == nil {
-		m.Histograms = map[string]HistogramJSON{}
-	}
-	return &m, nil
 }
 
 func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request) {
@@ -171,57 +74,27 @@ func (c *Coordinator) handleFleetMetrics(w http.ResponseWriter, r *http.Request)
 	writeFleetText(w, view)
 }
 
-// writeFleetText renders the Prometheus text view: fleet aggregates
-// under the original (unlabeled) series names, so existing single-node
-// scrapes and the smoke tests' `awk '$1 == metric'` keep working, then
-// per-member breakdowns labeled {node="URL"}.
-func writeFleetText(w io.Writer, view FleetView) {
+// writeFleetText renders the Prometheus text view: per family, the
+// fleet aggregate under the original (unlabeled) name — so single-node
+// scrapes and the smoke tests' `awk '$1 == metric'` keep working —
+// then each reachable member's sample labeled {node="URL"}.
+func writeFleetText(w io.Writer, view FleetView) error {
+	series := view.Fleet.Series()
 	reachable := 0
 	for _, m := range view.Members {
 		if m.Metrics != nil {
 			reachable++
+			for _, x := range m.Metrics.Series() {
+				x.Node = m.URL
+				series = append(series, x)
+			}
 		}
 	}
-	fmt.Fprintf(w, "esteem_fleet_members %d\n", len(view.Members))
-	fmt.Fprintf(w, "esteem_fleet_members_reachable %d\n", reachable)
-	fmt.Fprintf(w, "esteem_fleet_uptime_seconds %g\n", view.Fleet.UptimeSeconds)
-	writeMetricsText(w, view.Fleet, "")
-	for _, m := range view.Members {
-		if m.Metrics != nil {
-			writeMetricsText(w, *m.Metrics, m.URL)
-		}
-	}
-}
-
-func writeMetricsText(w io.Writer, m MetricsJSON, node string) {
-	label := ""
-	bucketLabel := func(le string) string { return fmt.Sprintf("{le=%q}", le) }
-	if node != "" {
-		label = fmt.Sprintf("{node=%q}", node)
-		bucketLabel = func(le string) string { return fmt.Sprintf("{node=%q,le=%q}", node, le) }
-	}
-	for _, k := range sortedKeys(m.Gauges) {
-		fmt.Fprintf(w, "%s%s %g\n", k, label, m.Gauges[k])
-	}
-	for _, k := range sortedKeys(m.Counters) {
-		fmt.Fprintf(w, "%s%s %d\n", k, label, m.Counters[k])
-	}
-	for _, k := range sortedKeys(m.Histograms) {
-		h := m.Histograms[k]
-		for _, b := range h.Buckets {
-			fmt.Fprintf(w, "%s_bucket%s %d\n", k, bucketLabel(fmt.Sprintf("%g", b.LE)), b.Count)
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", k, bucketLabel("+Inf"), h.Count)
-		fmt.Fprintf(w, "%s_sum%s %g\n", k, label, h.SumSeconds)
-		fmt.Fprintf(w, "%s_count%s %d\n", k, label, h.Count)
-	}
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	// Stable: each family keeps its aggregate first, members in order.
+	sort.SliceStable(series, func(i, j int) bool { return series[i].Name < series[j].Name })
+	return metricz.WriteText(w, append([]metricz.Series{
+		metricz.Gauge("esteem_fleet_members", "Live cluster members.", float64(len(view.Members))),
+		metricz.Gauge("esteem_fleet_members_reachable", "Members whose metrics snapshot was fetched.", float64(reachable)),
+		metricz.Gauge("esteem_fleet_uptime_seconds", "Uptime of the fleet's oldest reachable member.", view.Fleet.UptimeSeconds),
+	}, series...))
 }

@@ -6,49 +6,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metricz"
 )
 
-func TestMergeMetrics(t *testing.T) {
-	dst := MetricsJSON{
-		UptimeSeconds: 10,
-		Gauges:        map[string]float64{"g": 1},
-		Counters:      map[string]uint64{"c": 5},
-		Histograms: map[string]HistogramJSON{
-			"h": {Count: 2, SumSeconds: 0.5, Buckets: []HistBucket{{LE: 0.1, Count: 1}, {LE: 1, Count: 2}}},
-		},
-	}
-	src := MetricsJSON{
-		UptimeSeconds: 30,
-		Gauges:        map[string]float64{"g": 2, "g2": 7},
-		Counters:      map[string]uint64{"c": 3, "c2": 1},
-		Histograms: map[string]HistogramJSON{
-			"h": {Count: 4, SumSeconds: 1.5, Buckets: []HistBucket{{LE: 0.1, Count: 3}, {LE: 1, Count: 4}}},
-		},
-	}
-	MergeMetrics(&dst, src)
-	if dst.UptimeSeconds != 30 {
-		t.Errorf("uptime = %g, want max 30", dst.UptimeSeconds)
-	}
-	if dst.Gauges["g"] != 3 || dst.Gauges["g2"] != 7 {
-		t.Errorf("gauges = %v", dst.Gauges)
-	}
-	if dst.Counters["c"] != 8 || dst.Counters["c2"] != 1 {
-		t.Errorf("counters = %v", dst.Counters)
-	}
-	h := dst.Histograms["h"]
-	if h.Count != 6 || h.SumSeconds != 2 {
-		t.Errorf("histogram count/sum = %d/%g, want 6/2", h.Count, h.SumSeconds)
-	}
-	want := []HistBucket{{LE: 0.1, Count: 4}, {LE: 1, Count: 6}}
-	if len(h.Buckets) != 2 || h.Buckets[0] != want[0] || h.Buckets[1] != want[1] {
-		t.Errorf("buckets = %v, want %v", h.Buckets, want)
-	}
-}
-
 func TestFleetMetricsAggregatesMembers(t *testing.T) {
-	// Two synthetic members serving MetricsJSON, plus an unreachable
+	// Two synthetic members serving metrics snapshots, plus an unreachable
 	// third registered but then torn down.
 	mkMember := func(sims uint64) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -56,12 +23,12 @@ func TestFleetMetricsAggregatesMembers(t *testing.T) {
 				http.NotFound(w, r)
 				return
 			}
-			json.NewEncoder(w).Encode(MetricsJSON{
+			json.NewEncoder(w).Encode(metricz.Snapshot{
 				UptimeSeconds: 1,
 				Counters:      map[string]uint64{"esteem_worker_sims_computed_total": sims},
 				Gauges:        map[string]float64{"esteem_worker_held_leases": 1},
-				Histograms: map[string]HistogramJSON{
-					"esteem_wait_seconds": {Count: 1, SumSeconds: 0.25, Buckets: []HistBucket{{LE: 1, Count: 1}}},
+				Histograms: map[string]metricz.Histogram{
+					"esteem_wait_seconds": {Count: 1, SumSeconds: 0.25, Buckets: []metricz.Bucket{{LE: 1, Count: 1}}},
 				},
 			})
 		}))
@@ -114,6 +81,7 @@ func TestFleetMetricsAggregatesMembers(t *testing.T) {
 	for _, want := range []string{
 		"esteem_fleet_members 3\n",
 		"esteem_fleet_members_reachable 2\n",
+		"# TYPE esteem_worker_sims_computed_total counter\nesteem_worker_sims_computed_total 7\n",
 		"esteem_worker_sims_computed_total 7\n",
 		`esteem_worker_sims_computed_total{node="` + m2.URL + `"} 4` + "\n",
 		"esteem_wait_seconds_count 2\n",
@@ -122,5 +90,36 @@ func TestFleetMetricsAggregatesMembers(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("fleet text missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// The fleet view is the wire contract between mixed-version
+// coordinators and clients: a view captured from an earlier release
+// must decode into FleetView with no unknown fields and re-encode to
+// the same document.
+func TestFleetViewWireShape(t *testing.T) {
+	raw, err := os.ReadFile("testdata/fleet_view.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var view FleetView
+	if err := dec.Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(view)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got any
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(again, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet view changed across a decode/encode round trip:\n%s", again)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/metricz"
 	"repro/internal/serve"
 )
 
@@ -91,30 +92,9 @@ func newClient(server string, retries int) *client {
 	}
 }
 
-// scrape fetches the JSON metrics view.
-func (c *client) scrape(ctx context.Context) (serve.MetricsView, error) {
-	var v serve.MetricsView
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics?format=json", nil)
-	if err != nil {
-		return v, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return v, fmt.Errorf("GET /metrics?format=json: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		return v, fmt.Errorf("decoding metrics view: %w", err)
-	}
-	return v, nil
-}
-
 // cacheDelta converts two metric snapshots into the window's cache
 // behaviour.
-func cacheDelta(before, after serve.MetricsView) CacheStats {
+func cacheDelta(before, after metricz.Snapshot) CacheStats {
 	c := func(name string) uint64 {
 		d := after.Counters[name] - before.Counters[name]
 		return d

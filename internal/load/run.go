@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metricz"
 	"repro/internal/serve"
 )
 
@@ -84,7 +85,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	}
 	c := newClient(opts.Server, opts.ConnRetries)
 
-	baseline, err := c.scrape(ctx)
+	baseline, err := metricz.Scrape(ctx, c.http, c.base)
 	if err != nil {
 		return Report{}, fmt.Errorf("load: initial metrics scrape: %w", err)
 	}
@@ -93,7 +94,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	defer cancel()
 
 	results := make([]reqResult, len(arrivals))
-	phaseMarks := make([]serve.MetricsView, len(opts.Schedule.Phases))
+	phaseMarks := make([]metricz.Snapshot, len(opts.Schedule.Phases))
 	var wg sync.WaitGroup
 	start := time.Now()
 	started := start.UTC()
@@ -106,7 +107,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 		// Phase boundary: snapshot the previous phase's metrics before
 		// the next phase's first request fires.
 		for curPhase < a.Phase {
-			if phaseMarks[curPhase], err = c.scrape(runCtx); err != nil {
+			if phaseMarks[curPhase], err = metricz.Scrape(runCtx, c.http, c.base); err != nil {
 				opts.Logf("load: phase %d metrics scrape failed: %v", curPhase, err)
 			}
 			opts.Logf("load: phase %q done (offered %.1f rps)",
@@ -141,7 +142,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 		<-done
 	}
 
-	final, err := c.scrape(ctx)
+	final, err := metricz.Scrape(ctx, c.http, c.base)
 	if err != nil {
 		return Report{}, fmt.Errorf("load: final metrics scrape: %w", err)
 	}
@@ -158,7 +159,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 
 // buildReport aggregates per-request outcomes and metric snapshots.
 func buildReport(opts Options, arrivals []Arrival, results []reqResult,
-	baseline serve.MetricsView, phaseMarks []serve.MetricsView, final serve.MetricsView) Report {
+	baseline metricz.Snapshot, phaseMarks []metricz.Snapshot, final metricz.Snapshot) Report {
 
 	sched := opts.Schedule
 	rep := Report{

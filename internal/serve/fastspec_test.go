@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/metricz"
+)
 
 // The fast spec must validate through the submission path, expand to
 // exactly one unit, and key cache-hot/cold traffic off its seed.
@@ -50,7 +54,7 @@ func TestMetricsSnapshotSeries(t *testing.T) {
 	if !ok {
 		t.Fatal("JSON metrics view missing queue-wait histogram")
 	}
-	if len(h.Buckets) != len(latencyBuckets) {
-		t.Errorf("histogram view has %d buckets, want %d", len(h.Buckets), len(latencyBuckets))
+	if len(h.Buckets) != len(metricz.LatencyBuckets) {
+		t.Errorf("histogram view has %d buckets, want %d", len(h.Buckets), len(metricz.LatencyBuckets))
 	}
 }

@@ -37,6 +37,7 @@ import (
 	"repro/internal/castore"
 	"repro/internal/cliflags"
 	"repro/internal/cluster"
+	"repro/internal/metricz"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -148,9 +149,9 @@ type Server struct {
 	// Latency histograms exposed on /metrics: time jobs spend queued,
 	// and compute time split by whether the job was served entirely
 	// from the content-addressed store (hit) or ran simulations (miss).
-	queueWaitHist   *histogram
-	computeHitHist  *histogram
-	computeMissHist *histogram
+	queueWaitHist   *metricz.Recorder
+	computeHitHist  *metricz.Recorder
+	computeMissHist *metricz.Recorder
 }
 
 // New builds a server and starts its job workers. Callers own the
@@ -168,9 +169,9 @@ func New(cfg Config) (*Server, error) {
 		cancel:          cancel,
 		jobs:            make(map[string]*Job),
 		queue:           make(chan *Job, cfg.QueueDepth),
-		queueWaitHist:   newHistogram(latencyBuckets),
-		computeHitHist:  newHistogram(latencyBuckets),
-		computeMissHist: newHistogram(latencyBuckets),
+		queueWaitHist:   metricz.NewRecorder(metricz.LatencyBuckets),
+		computeHitHist:  metricz.NewRecorder(metricz.LatencyBuckets),
+		computeMissHist: metricz.NewRecorder(metricz.LatencyBuckets),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -296,7 +297,7 @@ func (s *Server) runJob(j *Job) {
 	defer s.inFlight.Add(-1)
 
 	queueWait := time.Since(j.enqueued)
-	s.queueWaitHist.observe(queueWait.Seconds())
+	s.queueWaitHist.Observe(queueWait.Seconds())
 	j.queueSpan.End()
 
 	ctx := s.baseCtx
@@ -342,9 +343,9 @@ func (s *Server) runJob(j *Job) {
 	rsp.SetAttrInt("sims", int64(sims))
 	rsp.End()
 	if sims == 0 {
-		s.computeHitHist.observe(computeDur.Seconds())
+		s.computeHitHist.Observe(computeDur.Seconds())
 	} else {
-		s.computeMissHist.observe(computeDur.Seconds())
+		s.computeMissHist.Observe(computeDur.Seconds())
 	}
 	s.simsTotal.Add(sims)
 	s.instrTotal.Add(instr)
@@ -787,8 +788,94 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{status, queued, s.inFlight.Load()})
 }
 
-// handleMetrics lives in metricsview.go: one snapshot feeds both the
-// Prometheus text exposition and the JSON view.
+// ---- metrics ----
+//
+// One series list feeds both /metrics views, so the text exposition and
+// the JSON view (?format=json) cannot drift apart. The load generator
+// delta-scrapes the JSON view around each schedule phase.
+
+// MetricsView is the JSON shape of GET /metrics?format=json.
+type MetricsView = metricz.Snapshot
+
+// metricsData snapshots every exported series in exposition order.
+func (s *Server) metricsData() []metricz.Series {
+	s.mu.Lock()
+	queued := len(s.queue)
+	s.mu.Unlock()
+	st := s.cfg.Store.Stats()
+	uptime := time.Since(s.start).Seconds()
+	sims := s.simsTotal.Load()
+	var simsPerSec float64
+	if uptime > 0 {
+		simsPerSec = float64(sims) / uptime
+	}
+	ts := s.cfg.Tracer.Stats()
+
+	series := []metricz.Series{
+		metricz.Gauge("esteem_serve_queue_depth", "Jobs waiting in the admission queue.", float64(queued)),
+		metricz.Gauge("esteem_serve_in_flight_jobs", "Jobs currently executing.", float64(s.inFlight.Load())),
+		metricz.Gauge("esteem_serve_sims_per_second", "Simulations executed per second of uptime.", simsPerSec),
+		metricz.Gauge("esteem_serve_trace_spans_buffered", "Completed spans retained in the tracer's ring.", float64(ts.Buffered)),
+		metricz.Counter("esteem_serve_jobs_accepted_total", "Jobs admitted to the queue.", s.accepted.Load()),
+		metricz.Counter("esteem_serve_jobs_rejected_total", "Jobs rejected with 429 (queue full).", s.rejected.Load()),
+		metricz.Counter("esteem_serve_jobs_completed_total", "Jobs finished successfully.", s.completed.Load()),
+		metricz.Counter("esteem_serve_jobs_failed_total", "Jobs finished in failure or cancellation.", s.failed.Load()),
+		metricz.Counter("esteem_serve_sims_executed_total", "Simulations actually executed (cache misses).", sims),
+		metricz.Counter("esteem_serve_sim_instructions_total", "Instructions simulated by executed simulations.", s.instrTotal.Load()),
+		metricz.Counter("esteem_serve_cache_hits_total", "Content-addressed store hits (memory + disk).", st.Hits),
+		metricz.Counter("esteem_serve_cache_memory_hits_total", "Content-addressed store memory-layer hits.", st.MemHits),
+		metricz.Counter("esteem_serve_cache_disk_hits_total", "Content-addressed store disk-layer hits.", st.DiskHits),
+		metricz.Counter("esteem_serve_cache_misses_total", "Content-addressed store misses.", st.Misses),
+		metricz.Counter("esteem_serve_cache_computes_total", "Simulations computed under the store's single-flight lock.", st.Computes),
+		metricz.Counter("esteem_serve_cache_coalesced_total", "Requests coalesced onto an in-progress compute.", st.Coalesced),
+		metricz.Counter("esteem_serve_prefix_checkpoint_hits_total", "Simulations resumed from a stored prefix checkpoint.", st.PrefixHits),
+		metricz.Counter("esteem_serve_prefix_checkpoint_misses_total", "Prefix-checkpoint lookups that found no usable checkpoint.", st.PrefixMisses),
+		metricz.Counter("esteem_serve_prefix_checkpoint_saved_instructions_total", "Measured instructions skipped by resuming from prefix checkpoints.", st.PrefixSavedInstr),
+		metricz.Counter("esteem_serve_trace_spans_dropped_total", "Spans evicted from the tracer's ring.", ts.Dropped),
+		metricz.Counter("esteem_serve_trace_unsampled_total", "Traces head-sampled out.", ts.Unsampled),
+		metricz.Counter("esteem_serve_shard_remote_hits_total", "Artifacts fetched from a peer shard (zero when not clustered).", st.RemoteHits),
+		metricz.Counter("esteem_serve_shard_remote_misses_total", "Peer shard lookups that found nothing.", st.RemoteMisses),
+		metricz.Counter("esteem_serve_shard_repairs_total", "Read-through replication repairs.", st.Repairs),
+		metricz.Counter("esteem_serve_shard_remote_puts_total", "Artifact replications to peer shards.", st.RemotePuts),
+		metricz.Counter("esteem_serve_shard_remote_put_errors_total", "Failed replications to peer shards.", st.RemotePutErrors),
+		metricz.Hist("esteem_serve_queue_wait_seconds", "Time jobs spent in the admission queue.", s.queueWaitHist.Snapshot()),
+		metricz.Hist("esteem_serve_job_cache_hit_seconds", "Job compute time for jobs served entirely from the result store.", s.computeHitHist.Snapshot()),
+		metricz.Hist("esteem_serve_job_compute_seconds", "Job compute time for jobs that executed at least one simulation.", s.computeMissHist.Snapshot()),
+	}
+	if s.cfg.Cluster != nil {
+		cs := s.cfg.Cluster.Stats()
+		series = append(series,
+			metricz.Gauge("esteem_cluster_workers_live", "Workers currently registered and heartbeating.", float64(cs.WorkersLive)),
+			metricz.Gauge("esteem_cluster_leases_outstanding", "Leases currently held by workers.", float64(cs.LeasesOutstanding)),
+			metricz.Gauge("esteem_cluster_tasks_pending", "Tasks queued waiting for a lease.", float64(cs.TasksPending)),
+			metricz.Counter("esteem_cluster_workers_joined_total", "Worker join registrations.", cs.WorkersJoined),
+			metricz.Counter("esteem_cluster_workers_expired_total", "Workers expired for missing heartbeats.", cs.WorkersExpired),
+			metricz.Counter("esteem_cluster_leases_issued_total", "Leases granted to workers.", cs.LeasesIssued),
+			metricz.Counter("esteem_cluster_leases_expired_total", "Leases that timed out and re-queued.", cs.LeasesExpired),
+			metricz.Counter("esteem_cluster_leases_reissued_total", "Re-grants of previously expired leases.", cs.LeasesReissued),
+			metricz.Counter("esteem_cluster_tasks_submitted_total", "Tasks entered into the lease table.", cs.TasksSubmitted),
+			metricz.Counter("esteem_cluster_tasks_completed_total", "Tasks completed by workers.", cs.TasksCompleted),
+			metricz.Counter("esteem_cluster_tasks_failed_total", "Tasks that failed on a worker.", cs.TasksFailed),
+			metricz.Counter("esteem_cluster_spans_injected_total", "Worker-shipped spans merged into the coordinator's tracer.", cs.SpansInjected),
+			metricz.Counter("esteem_cluster_spans_dropped_total", "Worker-shipped spans dropped (malformed, or no tracer).", cs.SpansDropped),
+		)
+	}
+	return series
+}
+
+// MetricsSnapshot returns the current metrics as the JSON view.
+func (s *Server) MetricsSnapshot() MetricsView {
+	return metricz.NewSnapshot(time.Since(s.start).Seconds(), s.metricsData())
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "json" {
+		writeJSON(w, http.StatusOK, s.MetricsSnapshot())
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	metricz.WriteText(w, s.metricsData())
+}
 
 // ---- helpers ----
 

@@ -258,28 +258,6 @@ func TestMetricsHistogramsAndTracerStats(t *testing.T) {
 	}
 }
 
-func TestHistogramFormat(t *testing.T) {
-	h := newHistogram([]float64{0.1, 1})
-	h.observe(0.05)
-	h.observe(0.5)
-	h.observe(5)
-	var b bytes.Buffer
-	writeHist(&b, "x_seconds", "help text", h.view())
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE x_seconds histogram",
-		"x_seconds_bucket{le=\"0.1\"} 1",
-		"x_seconds_bucket{le=\"1\"} 2",
-		"x_seconds_bucket{le=\"+Inf\"} 3",
-		"x_seconds_sum 5.55",
-		"x_seconds_count 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("histogram output missing %q:\n%s", want, out)
-		}
-	}
-}
-
 // drainEvents follows an SSE stream until the server closes it,
 // failing the test on timeout; used where the recorder-based do()
 // would block forever on an unfinished stream.

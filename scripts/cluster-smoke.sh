@@ -139,6 +139,10 @@ for url in "$WORKER1_URL" "$W2URL"; do
     grep -q "node=\"$url\"" "$WORK/fleet.prom" ||
         { echo "fleet metrics missing per-member series for $url"; exit 1; }
 done
+# Each family is one group: TYPE, the aggregate, then member samples.
+check_families "$WORK/fleet.prom" || { echo "fleet metrics split a metric family"; exit 1; }
+grep -qx '# TYPE esteem_worker_sims_computed_total counter' "$WORK/fleet.prom" ||
+    { echo "fleet metrics lack the sims-computed TYPE line"; exit 1; }
 echo "fleet sims total $FLEET_SIMS == $REF_COUNT units, both workers labeled"
 
 echo "== client fleet view (cluster top) =="

@@ -44,3 +44,25 @@ wait_healthz() {
         esac
     done
 }
+
+# check_families FILE
+# Fails if a metric family in the Prometheus text FILE is split: once a
+# different family's lines start, the earlier family must not reappear
+# (histogram _bucket/_sum/_count samples belong to their family).
+check_families() {
+    awk '
+        /^# (HELP|TYPE) / { fam = $3; if ($2 == "TYPE") kind[fam] = $4 }
+        /^#/ && !/^# (HELP|TYPE) / { next }
+        !/^#/ && NF {
+            fam = $1; sub(/[{].*/, "", fam)
+            base = fam
+            if (sub(/_(bucket|sum|count)$/, "", base) && kind[base] == "histogram") fam = base
+        }
+        NF && fam != cur {
+            if (fam in done) { printf "metric family %s reappears after %s\n", fam, cur; bad = 1; exit }
+            if (cur != "") done[cur] = 1
+            cur = fam
+        }
+        END { exit bad }
+    ' "$1"
+}

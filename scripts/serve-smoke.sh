@@ -61,6 +61,12 @@ COLD_ID="$(submit_job)"
 [ -n "$COLD_ID" ] || { echo "submit returned no job id"; exit 1; }
 "$WORK/esteem-client" result -server "$SERVER" -o "$WORK/cold.json" "$COLD_ID"
 
+echo "== metrics exposition =="
+curl -sf "$SERVER/metrics" >"$WORK/metrics.prom"
+check_families "$WORK/metrics.prom" || { echo "/metrics splits a metric family"; exit 1; }
+grep -qx '# TYPE esteem_serve_jobs_completed_total counter' "$WORK/metrics.prom" ||
+    { echo "/metrics lacks the jobs-completed TYPE line"; exit 1; }
+
 echo "== event stream =="
 "$WORK/esteem-client" watch -server "$SERVER" "$COLD_ID" | tee "$WORK/events.log"
 grep -q '"state":"done"' "$WORK/events.log" || { echo "event stream missing terminal state"; exit 1; }
