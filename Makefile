@@ -57,8 +57,9 @@ bench:
 bench-record:
 	./scripts/bench-record.sh
 
-# Gate the same benchmarks against the latest BENCH_sim.json entry:
-# >15% ns/op regression or any allocs/op increase fails (CI's
+# Gate the same benchmarks against the latest BENCH_sim.json entry
+# with `esteem-gate sim check`: >15% ns/op regression or any allocs/op
+# increase fails, and a 3x-degraded copy must fail first (CI's
 # bench-gate lane).
 bench-check:
 	./scripts/bench-record.sh check
@@ -97,7 +98,8 @@ load:
 
 # Service-level benchmark lane (CI's load-smoke): boots a daemon,
 # drives an ~11s ramp+burst schedule, gates the report against
-# BENCH_serve.json, and proves the gate rejects a degraded copy.
+# BENCH_serve.json with `esteem-gate serve check`, and proves the gate
+# rejects a degraded copy.
 load-smoke:
 	./scripts/load-smoke.sh
 

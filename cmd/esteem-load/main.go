@@ -4,8 +4,8 @@
 // jitter, a configurable cache-hot/cold mix), drives the service with
 // it, and writes the measured service-level outcome — p50/p99/p999
 // latency, throughput, 429/error counts, queue wait and the cache
-// hit/miss split scraped from /metrics — as a JSON report consumable
-// by esteem-servegate.
+// hit/miss split scraped from /metrics — as a JSON report that
+// `esteem-gate serve record|check` reads on stdin.
 //
 // Examples:
 //

@@ -117,15 +117,18 @@ func (s *Sharded) Owners(key string) []string {
 // owners, or any other live member (stale-placement backstop). Remote
 // hits are cached locally and repaired onto owners that missed.
 func (s *Sharded) Get(key string) ([]byte, bool, error) {
-	return s.getCtx(context.Background(), key)
+	return s.getCtx(context.Background(), key, s.local.Get)
 }
 
 // getCtx is Get with trace propagation: when ctx carries a sampled
-// span AND the local store misses, the remote probe sequence runs
+// span AND the local probe misses, the remote probe sequence runs
 // under a "shard-get" child whose traceparent travels on every peer
 // request. The local-hit fast path does no tracing work at all.
-func (s *Sharded) getCtx(ctx context.Context, key string) ([]byte, bool, error) {
-	if data, ok, err := s.local.Get(key); err != nil || ok {
+// localGet is the local probe: Get counts its miss, GetOrCompute
+// probes uncounted because the local store counts the miss once it
+// commits to computing.
+func (s *Sharded) getCtx(ctx context.Context, key string, localGet func(string) ([]byte, bool, error)) ([]byte, bool, error) {
+	if data, ok, err := localGet(key); err != nil || ok {
 		return data, ok, err
 	}
 	sp := tracez.FromContext(ctx).Child("shard-get")
@@ -239,7 +242,7 @@ func (s *Sharded) Put(key string, data []byte) error {
 // single-flight lock and its result replicates to the key's owners
 // before the call returns.
 func (s *Sharded) GetOrCompute(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) ([]byte, bool, error) {
-	if data, ok, err := s.getCtx(ctx, key); err != nil {
+	if data, ok, err := s.getCtx(ctx, key, s.local.lookup); err != nil {
 		return nil, false, err
 	} else if ok {
 		return data, true, nil

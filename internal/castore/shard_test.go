@@ -189,6 +189,27 @@ func TestShardedGetOrComputeCoalesces(t *testing.T) {
 	}
 }
 
+// TestShardedGetOrComputeCountsMissOnce: a cold GetOrCompute on a
+// single-member cluster is one miss, as on a standalone store, and a
+// plain Get miss still counts once.
+func TestShardedGetOrComputeCountsMissOnce(t *testing.T) {
+	c := newTestCluster(t, 1)
+	s := c.sharded(c.members()[0])
+	compute := func(context.Context) ([]byte, error) { return []byte(`{}`), nil }
+	if _, cached, err := s.GetOrCompute(context.Background(), shardKey(1), compute); err != nil || cached {
+		t.Fatalf("cold GetOrCompute: cached=%v err=%v", cached, err)
+	}
+	if got := s.Stats().Misses; got != 1 {
+		t.Fatalf("cold GetOrCompute counted %d misses, want 1", got)
+	}
+	if _, ok, err := s.Get(shardKey(2)); err != nil || ok {
+		t.Fatalf("Get of an absent key: ok=%v err=%v", ok, err)
+	}
+	if got := s.Stats().Misses; got != 2 {
+		t.Fatalf("after one Get miss: %d misses, want 2", got)
+	}
+}
+
 // TestShardedPutFailsWithNoReplica: when the node is not an owner and
 // every owner is unreachable, Put must fail so the task re-runs
 // instead of completing with an unreachable artifact.

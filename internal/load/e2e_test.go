@@ -115,13 +115,13 @@ func TestRunEndToEnd(t *testing.T) {
 
 	// The fresh report must satisfy its own gate, including as its own
 	// baseline — the exact record-then-check cycle CI runs.
-	if err := Check(nil, rep, Thresholds{}); err != nil {
+	if err := Check(nil, rep); err != nil {
 		t.Fatalf("fresh report fails the absolute gate: %v", err)
 	}
-	if err := Check(&rep, rep, Thresholds{}); err != nil {
+	if err := Check(&rep, rep); err != nil {
 		t.Fatalf("fresh report fails against itself: %v", err)
 	}
-	if err := Check(&rep, Degrade(rep, 50), Thresholds{}); err == nil {
+	if err := Check(&rep, Degrade(rep, 50)); err == nil {
 		t.Fatal("gate passed a 50x-degraded copy of a live run")
 	}
 

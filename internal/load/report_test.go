@@ -2,7 +2,6 @@ package load
 
 import (
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,11 +46,11 @@ func healthyReport() Report {
 
 func TestCheckPassesHealthyReport(t *testing.T) {
 	rep := healthyReport()
-	if err := Check(nil, rep, Thresholds{}); err != nil {
+	if err := Check(nil, rep); err != nil {
 		t.Fatalf("absolute-only check failed: %v", err)
 	}
 	base := healthyReport()
-	if err := Check(&base, rep, Thresholds{}); err != nil {
+	if err := Check(&base, rep); err != nil {
 		t.Fatalf("self-baseline check failed: %v", err)
 	}
 }
@@ -75,7 +74,7 @@ func TestCheckAbsoluteFailures(t *testing.T) {
 	for _, tc := range cases {
 		rep := healthyReport()
 		tc.mutate(&rep)
-		err := Check(nil, rep, Thresholds{})
+		err := Check(nil, rep)
 		if err == nil {
 			t.Errorf("%s: check passed, want failure", tc.name)
 			continue
@@ -91,14 +90,14 @@ func TestCheckRelativeBounds(t *testing.T) {
 
 	slow := healthyReport()
 	slow.Overall.Latency.P99 = base.Overall.Latency.P99 * 11
-	if err := Check(&base, slow, Thresholds{}); err == nil ||
+	if err := Check(&base, slow); err == nil ||
 		!strings.Contains(err.Error(), "p99") {
 		t.Fatalf("11x p99 regression not caught: %v", err)
 	}
 
 	starved := healthyReport()
 	starved.Overall.AchievedRPS = base.Overall.AchievedRPS * 0.2
-	if err := Check(&base, starved, Thresholds{}); err == nil ||
+	if err := Check(&base, starved); err == nil ||
 		!strings.Contains(err.Error(), "throughput") {
 		t.Fatalf("5x throughput collapse not caught: %v", err)
 	}
@@ -106,16 +105,8 @@ func TestCheckRelativeBounds(t *testing.T) {
 	// Within the loose bounds: 3x slower p99 still passes by design.
 	noisy := healthyReport()
 	noisy.Overall.Latency.P99 = base.Overall.Latency.P99 * 3
-	if err := Check(&base, noisy, Thresholds{}); err != nil {
+	if err := Check(&base, noisy); err != nil {
 		t.Fatalf("3x p99 (CI noise territory) rejected: %v", err)
-	}
-}
-
-func TestCheckHitRateToleranceDisable(t *testing.T) {
-	rep := healthyReport()
-	rep.Cache.HitRate = 0
-	if err := Check(nil, rep, Thresholds{HitRateTolerance: -1}); err != nil {
-		t.Fatalf("negative tolerance should disable the hit-rate check: %v", err)
 	}
 }
 
@@ -123,7 +114,7 @@ func TestCheckHitRateToleranceDisable(t *testing.T) {
 // of a passing report must fail against the original as baseline.
 func TestDegradeFailsCheck(t *testing.T) {
 	base := healthyReport()
-	if err := Check(&base, healthyReport(), Thresholds{}); err != nil {
+	if err := Check(&base, healthyReport()); err != nil {
 		t.Fatalf("precondition: healthy report must pass: %v", err)
 	}
 	bad := Degrade(healthyReport(), 20)
@@ -133,7 +124,7 @@ func TestDegradeFailsCheck(t *testing.T) {
 	if bad.Overall.AchievedRPS != base.Overall.AchievedRPS/20 {
 		t.Fatalf("degrade did not deflate throughput: %g", bad.Overall.AchievedRPS)
 	}
-	if err := Check(&base, bad, Thresholds{}); err == nil {
+	if err := Check(&base, bad); err == nil {
 		t.Fatal("gate passed a 20x-degraded report")
 	}
 	// Degrade must not mutate its input (phases are shared slices).
@@ -141,34 +132,6 @@ func TestDegradeFailsCheck(t *testing.T) {
 	_ = Degrade(orig, 20)
 	if orig.Phases[0].Latency.P50 != 5 {
 		t.Fatal("Degrade mutated its input's phases")
-	}
-}
-
-func TestTrajectoryRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-
-	tr, err := LoadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Latest() != nil {
-		t.Fatal("missing file should be an empty trajectory")
-	}
-
-	tr.Entries = append(tr.Entries, healthyReport())
-	if err := SaveTrajectory(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Schema != 1 || len(got.Entries) != 1 {
-		t.Fatalf("round trip gave schema=%d entries=%d", got.Schema, len(got.Entries))
-	}
-	latest := got.Latest()
-	if latest == nil || latest.Overall.Requests != 600 {
-		t.Fatalf("latest entry %+v", latest)
 	}
 }
 

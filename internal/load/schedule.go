@@ -6,7 +6,7 @@
 // throughput, 429 and error counts, queue wait and the cache hit/miss
 // split scraped from /metrics — as a Report. Reports append to the
 // checked-in BENCH_serve.json trajectory and gate CI regressions via
-// esteem-servegate, the service-level sibling of esteem-benchgate.
+// `esteem-gate serve check`, the same tool that gates BENCH_sim.json.
 //
 // The schedule model follows the invitro trace synthesizer: a list of
 // constant-rate slots described by a starting RPS, a step size and a

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"strconv"
 )
@@ -73,111 +70,4 @@ func roundNumber(n json.Number) json.Number {
 		return n
 	}
 	return json.Number(strconv.FormatFloat(f, 'g', canonicalDigits, 64))
-}
-
-// WriteIntervalsJSON writes the intervals as one canonical JSON array.
-func WriteIntervalsJSON(w io.Writer, ivs []Interval) error {
-	b, err := MarshalCanonical(ivs)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// intervalCSVHeader lists the CSV columns, in emission order.
-var intervalCSVHeader = []string{
-	"index", "measuring", "end_cycle", "cycles", "active_ratio",
-	"l2_hits", "l2_write_hits", "l2_misses", "l2_writebacks", "l2_fills",
-	"refreshes", "bank_busy_cycles", "skipped_refreshes", "invalidations",
-	"mm_reads", "mm_writebacks", "mm_queue_stall_cycles",
-	"mm_writebuf_stall_cycles", "mm_writebuf_peak", "mm_channel_busy_cycles",
-	"lines_transitioned", "reconfig_writebacks", "energy_total_j",
-}
-
-// WriteIntervalsCSV writes the intervals as CSV with a header row.
-// ActiveWays and the energy components are JSON-only (CSV keeps the
-// scalar time-series; use the JSON artifact for full fidelity).
-func WriteIntervalsCSV(w io.Writer, ivs []Interval) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(intervalCSVHeader); err != nil {
-		return err
-	}
-	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	for _, iv := range ivs {
-		rec := []string{
-			strconv.Itoa(iv.Index),
-			strconv.FormatBool(iv.Measuring),
-			u(iv.EndCycle), u(iv.Cycles),
-			strconv.FormatFloat(iv.ActiveRatio, 'g', canonicalDigits, 64),
-			u(iv.L2Hits), u(iv.L2WriteHits), u(iv.L2Misses), u(iv.L2Writebacks), u(iv.L2Fills),
-			u(iv.Refreshes), u(iv.BankBusyCycles),
-			u(iv.Policy.SkippedRefreshes), u(iv.Policy.Invalidations),
-			u(iv.MMReads), u(iv.MMWritebacks), u(iv.MMQueueStallCycles),
-			u(iv.MMWriteBufStallCycles), strconv.Itoa(iv.MMWriteBufPeak),
-			strconv.FormatFloat(iv.MMChannelBusyCycles, 'g', canonicalDigits, 64),
-			u(iv.LinesTransitioned), u(iv.ReconfigWritebacks),
-			strconv.FormatFloat(iv.Energy.TotalJ, 'g', canonicalDigits, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ParseIntervalsCSV reads a WriteIntervalsCSV stream back. It is the
-// round-trip counterpart used by tests and downstream tooling; fields
-// absent from the CSV (ActiveWays, energy components) come back zero.
-func ParseIntervalsCSV(r io.Reader) ([]Interval, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("obs: empty CSV")
-	}
-	if len(rows[0]) != len(intervalCSVHeader) {
-		return nil, fmt.Errorf("obs: CSV has %d columns, want %d", len(rows[0]), len(intervalCSVHeader))
-	}
-	var out []Interval
-	for _, rec := range rows[1:] {
-		var iv Interval
-		var err error
-		pu := func(s string) uint64 {
-			v, e := strconv.ParseUint(s, 10, 64)
-			if e != nil && err == nil {
-				err = e
-			}
-			return v
-		}
-		pf := func(s string) float64 {
-			v, e := strconv.ParseFloat(s, 64)
-			if e != nil && err == nil {
-				err = e
-			}
-			return v
-		}
-		iv.Index = int(pu(rec[0]))
-		iv.Measuring = rec[1] == "true"
-		iv.EndCycle, iv.Cycles = pu(rec[2]), pu(rec[3])
-		iv.ActiveRatio = pf(rec[4])
-		iv.L2Hits, iv.L2WriteHits = pu(rec[5]), pu(rec[6])
-		iv.L2Misses, iv.L2Writebacks, iv.L2Fills = pu(rec[7]), pu(rec[8]), pu(rec[9])
-		iv.Refreshes, iv.BankBusyCycles = pu(rec[10]), pu(rec[11])
-		iv.Policy.SkippedRefreshes, iv.Policy.Invalidations = pu(rec[12]), pu(rec[13])
-		iv.MMReads, iv.MMWritebacks = pu(rec[14]), pu(rec[15])
-		iv.MMQueueStallCycles, iv.MMWriteBufStallCycles = pu(rec[16]), pu(rec[17])
-		iv.MMWriteBufPeak = int(pu(rec[18]))
-		iv.MMChannelBusyCycles = pf(rec[19])
-		iv.LinesTransitioned, iv.ReconfigWritebacks = pu(rec[20]), pu(rec[21])
-		iv.Energy.TotalJ = pf(rec[22])
-		if err != nil {
-			return nil, fmt.Errorf("obs: parsing CSV row %d: %w", iv.Index, err)
-		}
-		out = append(out, iv)
-	}
-	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -96,45 +95,6 @@ func TestMarshalCanonicalDeterministicAndRounded(t *testing.T) {
 	// Keys must come out sorted for diff-friendliness.
 	if strings.Index(s, `"alpha"`) > strings.Index(s, `"zeta"`) {
 		t.Errorf("keys not sorted:\n%s", s)
-	}
-}
-
-func TestIntervalsJSONRoundTrip(t *testing.T) {
-	ivs := sampleIntervals()
-	var buf bytes.Buffer
-	if err := WriteIntervalsJSON(&buf, ivs); err != nil {
-		t.Fatal(err)
-	}
-	var back []Interval
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ivs, back) {
-		t.Fatalf("JSON round trip mismatch:\n got %+v\nwant %+v", back, ivs)
-	}
-}
-
-func TestIntervalsCSVRoundTrip(t *testing.T) {
-	ivs := sampleIntervals()
-	var buf bytes.Buffer
-	if err := WriteIntervalsCSV(&buf, ivs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseIntervalsCSV(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(ivs) {
-		t.Fatalf("round trip returned %d intervals, want %d", len(back), len(ivs))
-	}
-	// CSV carries the scalar columns; null out the JSON-only fields
-	// before comparing.
-	for i := range ivs {
-		ivs[i].ActiveWays = nil
-		ivs[i].Energy = Energy{TotalJ: ivs[i].Energy.TotalJ}
-	}
-	if !reflect.DeepEqual(ivs, back) {
-		t.Fatalf("CSV round trip mismatch:\n got %+v\nwant %+v", back, ivs)
 	}
 }
 

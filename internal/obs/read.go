@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // ParseRun decodes a run artifact previously written with EncodeRun
@@ -28,28 +27,6 @@ func ParseRun(data []byte) (RunArtifact, error) {
 	}
 	if a.SchemaVersion != SchemaVersion {
 		return RunArtifact{}, fmt.Errorf("obs: run artifact schema %d, want %d", a.SchemaVersion, SchemaVersion)
-	}
-	return a, nil
-}
-
-// DecodeRun reads and decodes one run artifact from r.
-func DecodeRun(r io.Reader) (RunArtifact, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return RunArtifact{}, fmt.Errorf("obs: reading run artifact: %w", err)
-	}
-	return ParseRun(data)
-}
-
-// ReadRunFile loads the run artifact at path.
-func ReadRunFile(path string) (RunArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return RunArtifact{}, err
-	}
-	a, err := ParseRun(data)
-	if err != nil {
-		return RunArtifact{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return a, nil
 }

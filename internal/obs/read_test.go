@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,28 +79,5 @@ func TestParseRunRejectsBadInput(t *testing.T) {
 		if _, err := ParseRun([]byte(input)); err == nil {
 			t.Errorf("%s: ParseRun accepted invalid input", name)
 		}
-	}
-}
-
-func TestReadRunFile(t *testing.T) {
-	dir := t.TempDir()
-	sink, err := NewDirSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readSampleArtifact()
-	if err := sink.WriteRun(7, want); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "0007-esteem_gobmk_1c.json")
-	got, err := ReadRunFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Manifest, want.Manifest) {
-		t.Fatalf("manifest mismatch after sink round trip: %+v", got.Manifest)
-	}
-	if _, err := ReadRunFile(filepath.Join(dir, "missing.json")); !os.IsNotExist(err) {
-		t.Fatalf("missing file: err = %v, want IsNotExist", err)
 	}
 }

@@ -145,7 +145,6 @@ type Pool struct {
 	workers  int
 	tasks    []*Task
 	progress io.Writer
-	tick     time.Duration
 	label    string
 	hook     func(TaskEvent)
 }
@@ -153,20 +152,13 @@ type Pool struct {
 // Option configures a Pool.
 type Option func(*Pool)
 
+// progressTick is how often WithProgress prints a progress line.
+const progressTick = 2 * time.Second
+
 // WithProgress makes the pool print progress lines (completed/total,
 // running jobs, ETA) to w while Run executes.
 func WithProgress(w io.Writer) Option {
 	return func(p *Pool) { p.progress = w }
-}
-
-// WithProgressInterval sets how often progress lines are printed
-// (default 2s).
-func WithProgressInterval(d time.Duration) Option {
-	return func(p *Pool) {
-		if d > 0 {
-			p.tick = d
-		}
-	}
 }
 
 // WithTaskHook registers a per-task progress callback: fn receives
@@ -195,7 +187,7 @@ func NewPool(workers int, opts ...Option) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{workers: workers, tick: 2 * time.Second, label: "runner"}
+	p := &Pool{workers: workers, label: "runner"}
 	for _, o := range opts {
 		o(p)
 	}
@@ -448,7 +440,7 @@ func (p *Pool) Run(ctx context.Context) error {
 		progressWG.Add(1)
 		go func() {
 			defer progressWG.Done()
-			ticker := time.NewTicker(p.tick)
+			ticker := time.NewTicker(progressTick)
 			defer ticker.Stop()
 			for {
 				select {

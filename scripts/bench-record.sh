@@ -4,7 +4,9 @@
 # simulator run) with a fixed benchtime and either append a dated
 # entry to BENCH_sim.json (default) or gate the fresh numbers against
 # the latest recorded entry (`bench-record.sh check`): >15% ns/op
-# regression or any allocs/op increase fails.
+# regression or any allocs/op increase fails. Before the real check,
+# check mode proves the gate is live: a 3x-degraded copy of the fresh
+# numbers must be rejected.
 #
 # BENCHTIME / COUNT override the fixed budget, e.g. quick local runs
 # with BENCHTIME=100ms.
@@ -15,8 +17,10 @@ MODE="${1:-record}"
 BENCHTIME="${BENCHTIME:-1s}"
 COUNT="${COUNT:-3}"
 
-out="$(mktemp)"
-trap 'rm -f "$out"' EXIT
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+out="$work/bench.txt"
+go build -o "$work/" ./cmd/esteem-gate
 
 {
     go test ./internal/cache/ -run '^$' -benchmem -benchtime "$BENCHTIME" -count "$COUNT" \
@@ -31,10 +35,19 @@ trap 'rm -f "$out"' EXIT
 
 case "$MODE" in
 record)
-    go run ./cmd/esteem-benchgate -record BENCH_sim.json -benchtime "$BENCHTIME" <"$out"
+    "$work/esteem-gate" -benchtime "$BENCHTIME" sim record BENCH_sim.json <"$out"
     ;;
 check)
-    go run ./cmd/esteem-benchgate -check BENCH_sim.json <"$out"
+    echo "== gate self-test (degraded copy must fail) =="
+    "$work/esteem-gate" sim degrade 3 <"$out" >"$work/degraded.txt"
+    if "$work/esteem-gate" sim check BENCH_sim.json <"$work/degraded.txt" >"$work/degraded.out" 2>&1; then
+        echo "gate PASSED a 3x-degraded run; thresholds are dead" >&2
+        cat "$work/degraded.out" >&2
+        exit 1
+    fi
+    echo "degraded copy rejected, as it should be"
+    echo "== benchmark gate =="
+    "$work/esteem-gate" sim check BENCH_sim.json <"$out"
     ;;
 *)
     echo "usage: $0 [record|check]" >&2
